@@ -9,12 +9,16 @@
 
 namespace spcache::rpc {
 
-RpcNode::RpcNode(Bus& bus, NodeId id, std::string name)
-    : bus_(bus), id_(id), name_(std::move(name)) {
+RpcNode::RpcNode(Bus& bus, NodeId id, std::string name, Dispatch dispatch)
+    : bus_(bus),
+      id_(id),
+      name_(std::move(name)),
+      inline_(dispatch == Dispatch::kInline && bus.transport().dispatches_inline()) {
   bus_.add(*this);
 }
 
 RpcNode::~RpcNode() {
+  // detach() waits out any delivery in flight, so nothing below races one.
   bus_.remove(id_);
   {
     std::lock_guard lock(mu_);
@@ -45,8 +49,14 @@ void RpcNode::handle_into(MethodId method, StreamHandler handler) {
 }
 
 void RpcNode::start() {
+  std::lock_guard lock(mu_);
   assert(!started_);
-  started_ = true;
+  started_.store(true, std::memory_order_release);
+  const bool has_handlers = !handlers_.empty() || !stream_handlers_.empty();
+  if (!inline_ && (has_handlers || !mailbox_.empty())) spawn_service_thread();
+}
+
+void RpcNode::spawn_service_thread() {
   service_thread_ = std::thread([this] { service_loop(); });
 }
 
@@ -114,17 +124,12 @@ bool RpcNode::forget(std::uint64_t request_id) {
   return pending_.erase(request_id) > 0;
 }
 
-Reply RpcNode::call_sync(NodeId to, MethodId method, std::vector<std::uint8_t> payload,
-                         std::chrono::milliseconds timeout) {
-  // The bounded wait doubles as the propagated deadline: a server that
-  // reaches the request after `timeout` sheds it — by then this caller
-  // has already returned "rpc timeout" and forgotten the slot.
-  auto pending = call_tagged(to, method, std::move(payload), timeout);
-  if (pending.reply.wait_for(timeout) != std::future_status::ready) {
+Reply RpcNode::await(PendingCall& call, std::chrono::steady_clock::time_point deadline) {
+  if (call.reply.wait_until(deadline) != std::future_status::ready) {
     // Reclaim the pending slot so it cannot leak and a late reply becomes
-    // a counted no-op. If the reply raced us past the timeout, forget()
+    // a counted no-op. If the reply raced us past the deadline, forget()
     // finds the slot already resolved and the real reply wins.
-    if (forget(pending.request_id)) {
+    if (forget(call.request_id)) {
       Reply reply;
       reply.status = Status::kError;
       const std::string msg = "rpc timeout";
@@ -132,7 +137,16 @@ Reply RpcNode::call_sync(NodeId to, MethodId method, std::vector<std::uint8_t> p
       return reply;
     }
   }
-  return pending.reply.get();
+  return call.reply.get();
+}
+
+Reply RpcNode::call_sync(NodeId to, MethodId method, std::vector<std::uint8_t> payload,
+                         std::chrono::milliseconds timeout) {
+  // The bounded wait doubles as the propagated deadline: a server that
+  // reaches the request after `timeout` sheds it — by then this caller
+  // has already returned "rpc timeout" and forgotten the slot.
+  auto pending = call_tagged(to, method, std::move(payload), timeout);
+  return await(pending, std::chrono::steady_clock::now() + timeout);
 }
 
 std::size_t RpcNode::pending_calls() const {
@@ -141,13 +155,28 @@ std::size_t RpcNode::pending_calls() const {
 }
 
 void RpcNode::deliver(Envelope envelope) {
+  if (envelope.is_reply) {
+    resolve_reply(std::move(envelope));
+    return;
+  }
+  if (inline_) {
+    // Handler maps are complete once started_ reads true; before that the
+    // request is dropped like a datagram to a port nobody listens on yet.
+    if (started_.load(std::memory_order_acquire)) dispatch_request(std::move(envelope));
+    return;
+  }
   // Arrival stamp for deadline accounting: the queueing delay between here
-  // and dispatch_request is what the shed check measures.
+  // and dispatch is what the shed check measures.
   envelope.accepted_at = std::chrono::steady_clock::now();
   {
     std::lock_guard lock(mu_);
     if (stopping_) return;
     mailbox_.push_back(std::move(envelope));
+    // A started node without handlers has no thread until a request
+    // reaches it.
+    if (started_.load(std::memory_order_relaxed) && !service_thread_.joinable()) {
+      spawn_service_thread();
+    }
   }
   cv_.notify_one();
 }
@@ -166,21 +195,38 @@ void RpcNode::service_loop() {
       // the entire backlog.
       batch.swap(mailbox_);
     }
-    if (auto* probes = bus_.observability(); probes && probes->mailbox_batches) {
+    const auto* probes = bus_.observability();
+    if (probes && probes->mailbox_batches) {
       probes->mailbox_batches->add(1);
       probes->mailbox_batched_envelopes->add(batch.size());
     }
     for (auto& envelope : batch) {
-      if (envelope.is_reply) {
-        resolve_reply(envelope);
-      } else {
-        dispatch_request(envelope);
+      // Shed already-expired work: if the request sat in the mailbox past
+      // its propagated deadline, the caller has timed out and forgotten
+      // the call — running the handler would only burn service time on a
+      // reply destined to be a late-reply no-op.
+      if (envelope.deadline_ms > 0 &&
+          std::chrono::steady_clock::now() - envelope.accepted_at >
+              std::chrono::milliseconds(envelope.deadline_ms)) {
+        if (probes && probes->deadline_shed) probes->deadline_shed->add(1);
+        Envelope reply;
+        reply.from = id_;
+        reply.to = envelope.from;
+        reply.request_id = envelope.request_id;
+        reply.is_reply = true;
+        reply.method = envelope.method;
+        reply.status = Status::kDeadlineExpired;
+        const std::string msg = "deadline expired before dispatch";
+        reply.payload.assign(msg.begin(), msg.end());
+        bus_.route(std::move(reply));
+        continue;
       }
+      dispatch_request(std::move(envelope));
     }
   }
 }
 
-void RpcNode::dispatch_request(const Envelope& envelope) {
+void RpcNode::dispatch_request(Envelope envelope) {
   Envelope reply;
   reply.from = id_;
   reply.to = envelope.from;
@@ -188,59 +234,35 @@ void RpcNode::dispatch_request(const Envelope& envelope) {
   reply.is_reply = true;
   reply.method = envelope.method;
 
-  // Shed already-expired work: if the request sat in the mailbox past its
-  // propagated deadline, the caller has timed out and forgotten the call —
-  // running the handler would only burn service time on a reply destined
-  // to be a late-reply no-op.
-  if (envelope.deadline_ms > 0 &&
-      std::chrono::steady_clock::now() - envelope.accepted_at >
-          std::chrono::milliseconds(envelope.deadline_ms)) {
-    if (auto* probes = bus_.observability(); probes && probes->deadline_shed) {
-      probes->deadline_shed->add(1);
-    }
-    reply.payload.push_back(static_cast<std::uint8_t>(Status::kDeadlineExpired));
-    const std::string msg = "deadline expired before dispatch";
-    reply.payload.insert(reply.payload.end(), msg.begin(), msg.end());
-    bus_.route(std::move(reply));
-    return;
-  }
-
   const auto sit = stream_handlers_.find(envelope.method);
   const auto it = handlers_.find(envelope.method);
   if (sit == stream_handlers_.end() && it == handlers_.end()) {
-    reply.payload.push_back(static_cast<std::uint8_t>(Status::kNoSuchMethod));
+    reply.status = Status::kNoSuchMethod;
   } else {
     try {
       BufferReader reader(envelope.payload);
       if (sit != stream_handlers_.end()) {
-        // Streaming handler: status byte first, then the body lands
-        // directly in the reply payload — the bytes are written once.
+        // Streaming handler: the body lands directly in the reply payload.
         BufferWriter w;
-        w.u8(static_cast<std::uint8_t>(Status::kOk));
         sit->second(reader, w);
         reply.payload = w.take();
       } else {
-        auto body = it->second(reader);
-        reply.payload.reserve(body.size() + 1);
-        reply.payload.push_back(static_cast<std::uint8_t>(Status::kOk));
-        reply.payload.insert(reply.payload.end(), body.begin(), body.end());
+        reply.payload = it->second(reader);
       }
     } catch (const WrongEpochError& e) {
-      reply.payload.clear();
-      reply.payload.push_back(static_cast<std::uint8_t>(Status::kWrongEpoch));
+      reply.status = Status::kWrongEpoch;
       const std::string msg = e.what();
-      reply.payload.insert(reply.payload.end(), msg.begin(), msg.end());
+      reply.payload.assign(msg.begin(), msg.end());
     } catch (const std::exception& e) {
-      reply.payload.clear();
-      reply.payload.push_back(static_cast<std::uint8_t>(Status::kError));
+      reply.status = Status::kError;
       const std::string msg = e.what();
-      reply.payload.insert(reply.payload.end(), msg.begin(), msg.end());
+      reply.payload.assign(msg.begin(), msg.end());
     }
   }
   bus_.route(std::move(reply));
 }
 
-void RpcNode::resolve_reply(const Envelope& envelope) {
+void RpcNode::resolve_reply(Envelope envelope) {
   std::promise<Reply> promise;
   {
     std::lock_guard lock(pending_mu_);
@@ -255,12 +277,8 @@ void RpcNode::resolve_reply(const Envelope& envelope) {
     pending_.erase(it);
   }
   Reply reply;
-  if (envelope.payload.empty()) {
-    reply.status = Status::kError;
-  } else {
-    reply.status = static_cast<Status>(envelope.payload.front());
-    reply.payload.assign(envelope.payload.begin() + 1, envelope.payload.end());
-  }
+  reply.status = envelope.status;
+  reply.payload = std::move(envelope.payload);
   promise.set_value(std::move(reply));
 }
 

@@ -2,13 +2,15 @@
 //
 // The paper's system is a set of networked processes — SP-Master,
 // SP-Clients, Alluxio workers, SP-Repartitioners (Fig. 9). This module
-// gives the repository that structure: every component is an `RpcNode`
-// with its own mailbox and service thread; nodes exchange length-delimited
-// binary envelopes through a `Bus` that routes by node id. Calls are
-// asynchronous request/reply pairs matched by request id, with timeouts;
-// handlers run on the callee's service thread, so all the concurrency
-// discipline of a real deployment (no shared memory between components,
-// explicit serialization at every boundary) is exercised.
+// gives the repository that structure: every component is an `RpcNode`;
+// nodes exchange length-delimited binary envelopes through a `Bus` that
+// routes by node id. Calls are asynchronous request/reply pairs matched by
+// request id, with timeouts. A node's handlers run on one thread at a
+// time — its service thread draining a mailbox, or (for kInline nodes over
+// TCP) the transport's loop thread — and a reply resolves its call on the
+// thread that delivers it. All the concurrency discipline of a real
+// deployment (no shared memory between components, explicit serialization
+// at every boundary) is exercised.
 //
 // Delivery itself goes through the `Transport` seam (rpc/transport.h):
 // the default is the in-process mailbox registry (`InprocTransport` —
@@ -52,20 +54,32 @@ namespace spcache::rpc {
 
 class Bus;
 
-// A service endpoint: owns a mailbox drained by one service thread.
-// Handlers are registered per MethodId before start(); each handler maps a
-// request payload to a reply payload (exceptions become kError replies).
+// A service endpoint. Handlers are registered per MethodId before start();
+// each maps a request payload to a reply payload (exceptions become kError
+// replies). Replies to this node's own calls resolve on the thread that
+// delivers them, so a node can await calls from inside its handlers and
+// needs no start() just to make calls.
 class RpcNode {
  public:
   using Handler = std::function<std::vector<std::uint8_t>(BufferReader&)>;
   // Streaming form for hot serve paths: the handler appends its body
-  // directly into the reply payload (the status byte is already written),
-  // so the reply bytes are produced exactly once — no body vector, no
-  // insert-copy into the envelope. Exceptions still become typed error
-  // replies; anything the handler wrote before throwing is discarded.
+  // directly into the reply payload, so the reply bytes are produced
+  // exactly once — no body vector, no copy into the envelope. Exceptions
+  // still become typed error replies; anything the handler wrote before
+  // throwing is discarded.
   using StreamHandler = std::function<void(BufferReader&, BufferWriter&)>;
 
-  RpcNode(Bus& bus, NodeId id, std::string name);
+  // Which thread runs the handlers. kMailbox: the node's service thread
+  // drains its mailbox, so handlers may block or call out (call_sync).
+  // kInline: the handlers never block or call out, so a transport that
+  // dispatches inline (TcpTransport) runs them on the thread that receives
+  // the request and queues the reply on the same pass — no mailbox, no
+  // service thread, no deadline shedding. Other transports treat kInline
+  // as kMailbox. Either way the handlers run one at a time. A kInline node
+  // drops requests that reach it before start().
+  enum class Dispatch : std::uint8_t { kMailbox, kInline };
+
+  RpcNode(Bus& bus, NodeId id, std::string name, Dispatch dispatch = Dispatch::kMailbox);
   ~RpcNode();
 
   RpcNode(const RpcNode&) = delete;
@@ -74,10 +88,17 @@ class RpcNode {
   NodeId id() const { return id_; }
   const std::string& name() const { return name_; }
 
-  // Registration is only legal before start().
+  // Registration is only legal before start(). start() launches a service
+  // thread only for a kMailbox node with handlers; a node without handlers
+  // starts one the first time a request reaches it (to answer
+  // kNoSuchMethod).
   void handle(MethodId method, Handler handler);
   void handle_into(MethodId method, StreamHandler handler);
   void start();
+
+  // True if the transport runs this node's handlers on its receiving
+  // thread (see Dispatch).
+  bool dispatches_inline() const { return inline_; }
 
   // An in-flight call: the reply future plus the request id needed to
   // abandon it (forget) if the caller gives up waiting.
@@ -105,10 +126,15 @@ class RpcNode {
   // already resolved (or was never pending).
   bool forget(std::uint64_t request_id);
 
-  // Blocking convenience with timeout. On timeout the pending slot is
-  // reclaimed via forget(); a reply racing the timeout still wins. The
-  // timeout doubles as the propagated deadline — a server reaching the
-  // request after it passed sheds it instead of serving a ghost.
+  // Bounded wait on a call_tagged() call: its reply, or a kError "rpc
+  // timeout" reply once `deadline` passes. On timeout the slot is
+  // forgotten, so a late reply becomes a counted no-op; a reply racing the
+  // timeout still wins.
+  Reply await(PendingCall& call, std::chrono::steady_clock::time_point deadline);
+
+  // Blocking convenience with timeout (call_tagged + await). The timeout
+  // doubles as the propagated deadline — a server reaching the request
+  // after it passed sheds it instead of serving a ghost.
   Reply call_sync(NodeId to, MethodId method, std::vector<std::uint8_t> payload,
                   std::chrono::milliseconds timeout = std::chrono::milliseconds(5000));
 
@@ -116,17 +142,24 @@ class RpcNode {
   std::size_t pending_calls() const;
   std::uint64_t late_replies() const { return late_replies_.load(std::memory_order_relaxed); }
 
-  // Used by the transport to deliver an envelope into this node's mailbox.
+  // Transport entry point, called on the thread that received the
+  // envelope. A reply resolves its call right here. A request to a
+  // dispatches_inline() node runs its handler here (the transport calls
+  // this only from the thread that serves such nodes, never under a lock
+  // the reply's send takes); any other request is queued for the service
+  // thread.
   void deliver(Envelope envelope);
 
  private:
   void service_loop();
-  void dispatch_request(const Envelope& envelope);
-  void resolve_reply(const Envelope& envelope);
+  void dispatch_request(Envelope envelope);
+  void resolve_reply(Envelope envelope);
+  void spawn_service_thread();  // caller holds mu_
 
   Bus& bus_;
   NodeId id_;
   std::string name_;
+  const bool inline_;
   std::unordered_map<MethodId, Handler> handlers_;
   std::unordered_map<MethodId, StreamHandler> stream_handlers_;
 
@@ -134,7 +167,9 @@ class RpcNode {
   std::condition_variable cv_;
   std::deque<Envelope> mailbox_;
   bool stopping_ = false;
-  bool started_ = false;
+  // Release-stored by start() after the last handler registration, so a
+  // thread that dispatches inline sees the finished handler maps.
+  std::atomic<bool> started_{false};
   std::thread service_thread_;
 
   mutable std::mutex pending_mu_;
@@ -204,9 +239,9 @@ class Bus {
     // Multi-GET coalescing (counted by clients): envelopes *not* sent
     // because pieces shared a kGetBlockMulti with another piece.
     obs::Counter* envelopes_coalesced = nullptr;
-    // Requests shed at dispatch because their propagated deadline had
-    // already expired (counted by RpcNode::dispatch_request), and sends
-    // refused by transport backpressure / an open circuit breaker.
+    // Requests shed by a mailbox node's service thread because their
+    // propagated deadline had already expired, and sends refused by
+    // transport backpressure / an open circuit breaker.
     obs::Counter* deadline_shed = nullptr;
     obs::Counter* send_rejected = nullptr;
     obs::TraceRecorder* trace = nullptr;

@@ -15,6 +15,10 @@ namespace {
 
 std::vector<std::uint8_t> empty_body() { return {}; }
 
+// Bound on every RpcEcClient wait, the same as RpcSpClient's default
+// rpc_timeout: a lost reply fails the operation instead of hanging it.
+constexpr std::chrono::milliseconds kEcRpcTimeout{1000};
+
 }  // namespace
 
 void CacheWorkerService::serve_block_bytes(BufferWriter& w, const Block& block) {
@@ -56,7 +60,10 @@ FileMeta read_meta(BufferReader& r) {
 CacheWorkerService::CacheWorkerService(Bus& bus, NodeId node_id, std::uint32_t server_id,
                                        Bandwidth bandwidth)
     : store_(server_id, bandwidth) {
-  node_ = std::make_unique<RpcNode>(bus, node_id, "worker-" + std::to_string(server_id));
+  // Every handler is a bounded in-memory operation that never calls out,
+  // so over TCP they run on the loop thread as requests decode.
+  node_ = std::make_unique<RpcNode>(bus, node_id, "worker-" + std::to_string(server_id),
+                                    RpcNode::Dispatch::kInline);
   node_->handle(kPutBlock, [this](BufferReader& r) {
     const auto file = static_cast<FileId>(r.u32());
     const auto piece = static_cast<PieceIndex>(r.u32());
@@ -197,7 +204,8 @@ CacheWorkerService::CacheWorkerService(Bus& bus, NodeId node_id, std::uint32_t s
 }
 
 MasterService::MasterService(Bus& bus, NodeId node_id) {
-  node_ = std::make_unique<RpcNode>(bus, node_id, "sp-master");
+  // Metadata and stable-store handlers never block or call out: inline.
+  node_ = std::make_unique<RpcNode>(bus, node_id, "sp-master", RpcNode::Dispatch::kInline);
   node_->handle(kRegisterFile, [this](BufferReader& r) {
     const auto id = static_cast<FileId>(r.u32());
     FileMeta meta = read_meta(r);  // .epoch is the writer's proposal
@@ -287,8 +295,8 @@ RpcSpClient::RpcSpClient(Bus& bus, NodeId node_id, NodeId master_node,
       cache_config_(cache),
       layout_cache_(cache.cache_capacity),
       access_acc_(cache.report_flush_threshold) {
+  // No handlers and no start(): replies resolve on the delivering thread.
   node_ = std::make_unique<RpcNode>(bus, node_id, "sp-client-" + std::to_string(node_id));
-  node_->start();  // needed to receive replies
 }
 
 RpcSpClient::~RpcSpClient() {
@@ -355,8 +363,9 @@ void RpcSpClient::write(FileId id, std::span<const std::uint8_t> data,
   // degrades to a weaker proposal, never a regression.
   const std::uint64_t proposed = file_epoch(id) + 1;
 
-  // Fan out the PUTs, then join.
-  std::vector<std::future<Reply>> puts;
+  // Fan out the PUTs, then join — within one rpc_timeout_, so a lost
+  // reply fails the write instead of hanging it.
+  std::vector<RpcNode::PendingCall> puts;
   puts.reserve(pieces.size());
   for (std::size_t i = 0; i < pieces.size(); ++i) {
     BufferWriter w;
@@ -365,11 +374,16 @@ void RpcSpClient::write(FileId id, std::span<const std::uint8_t> data,
     w.u32(static_cast<std::uint32_t>(i));
     w.bytes(pieces[i]);
     w.u64(proposed);
-    puts.push_back(node_->call(worker_of_server_.at(servers[i]), kPutBlock, w.take()));
+    puts.push_back(node_->call_tagged(worker_of_server_.at(servers[i]), kPutBlock, w.take(),
+                                      rpc_timeout_));
   }
-  for (auto& f : puts) {
-    const auto reply = f.get();
-    if (!reply.ok()) throw std::runtime_error("PUT failed: " + reply.error_text());
+  const auto put_deadline = std::chrono::steady_clock::now() + rpc_timeout_;
+  for (auto& put : puts) {
+    const auto reply = node_->await(put, put_deadline);
+    if (!reply.ok()) {
+      for (auto& other : puts) node_->forget(other.request_id);
+      throw std::runtime_error("PUT failed: " + reply.error_text());
+    }
   }
 
   FileMeta meta;
@@ -487,8 +501,9 @@ bool RpcSpClient::multi_get_pass(FileId id, const FileMeta& meta, std::size_t pa
     offsets[i] = total;
     total += meta.piece_sizes[i];
   }
-  // No pre-zeroing: a successful pass writes every byte through the fused
-  // copies below, and a failed pass never surfaces `out`.
+  // resize() zero-fills a fresh vector; the fused copies below then write
+  // every byte of a successful pass, and a failed pass never surfaces
+  // `out`.
   out.resize(total);
   std::vector<std::uint8_t> have(n, 0);
   std::vector<std::uint32_t> piece_crcs(n, 0);
@@ -771,7 +786,6 @@ RpcEcClient::RpcEcClient(Bus& bus, NodeId node_id, NodeId master_node,
                          std::vector<NodeId> worker_of_server, std::size_t k, std::size_t n)
     : master_node_(master_node), worker_of_server_(std::move(worker_of_server)), rs_(k, n) {
   node_ = std::make_unique<RpcNode>(bus, node_id, "ec-client-" + std::to_string(node_id));
-  node_->start();
 }
 
 void RpcEcClient::write(FileId id, std::span<const std::uint8_t> data,
@@ -780,7 +794,7 @@ void RpcEcClient::write(FileId id, std::span<const std::uint8_t> data,
     throw std::invalid_argument("RpcEcClient::write: need exactly n servers");
   }
   const auto shards = rs_.encode(data);
-  std::vector<std::future<Reply>> puts;
+  std::vector<RpcNode::PendingCall> puts;
   puts.reserve(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
     BufferWriter w;
@@ -789,11 +803,16 @@ void RpcEcClient::write(FileId id, std::span<const std::uint8_t> data,
     w.u32(static_cast<std::uint32_t>(i));
     w.bytes(shards[i].bytes);
     w.u64(0);  // epoch proposal 0: the master still bumps to current+1
-    puts.push_back(node_->call(worker_of_server_.at(servers[i]), kPutBlock, w.take()));
+    puts.push_back(node_->call_tagged(worker_of_server_.at(servers[i]), kPutBlock, w.take(),
+                                      kEcRpcTimeout));
   }
-  for (auto& f : puts) {
-    const auto reply = f.get();
-    if (!reply.ok()) throw std::runtime_error("EC PUT failed: " + reply.error_text());
+  const auto put_deadline = std::chrono::steady_clock::now() + kEcRpcTimeout;
+  for (auto& put : puts) {
+    const auto reply = node_->await(put, put_deadline);
+    if (!reply.ok()) {
+      for (auto& other : puts) node_->forget(other.request_id);
+      throw std::runtime_error("EC PUT failed: " + reply.error_text());
+    }
   }
 
   FileMeta meta;
@@ -828,14 +847,16 @@ std::vector<std::uint8_t> RpcEcClient::read(FileId id, Rng& rng) {
   // Late binding: fan out k+1 GETs; decode from the first k that return.
   const std::size_t fetch_count = std::min(rs_.data_shards() + 1, static_cast<std::size_t>(n));
   const auto picks = rng.sample_without_replacement(n, fetch_count);
-  std::vector<std::future<Reply>> gets;
+  std::vector<RpcNode::PendingCall> gets;
   gets.reserve(fetch_count);
   for (std::size_t j = 0; j < fetch_count; ++j) {
     BufferWriter w;
     w.u32(id);
     w.u32(static_cast<std::uint32_t>(picks[j]));
-    gets.push_back(node_->call(worker_of_server_.at(servers[picks[j]]), kGetBlock, w.take()));
+    gets.push_back(node_->call_tagged(worker_of_server_.at(servers[picks[j]]), kGetBlock,
+                                      w.take(), kEcRpcTimeout));
   }
+  const auto get_deadline = std::chrono::steady_clock::now() + kEcRpcTimeout;
   // Zero-copy decode: keep the reply payloads alive and hand the decoder
   // non-owning views into them — shard bytes are never copied into a
   // working buffer first.
@@ -844,12 +865,14 @@ std::vector<std::uint8_t> RpcEcClient::read(FileId id, Rng& rng) {
   replies.reserve(rs_.data_shards());
   views.reserve(rs_.data_shards());
   for (std::size_t j = 0; j < fetch_count && views.size() < rs_.data_shards(); ++j) {
-    auto shard_reply = gets[j].get();
+    auto shard_reply = node_->await(gets[j], get_deadline);
     if (!shard_reply.ok()) continue;  // the late-binding hedge absorbs one loss
     replies.push_back(std::move(shard_reply));
     BufferReader pr(replies.back().payload);
     views.push_back(ShardView{picks[j], pr.bytes_view()});
   }
+  // The unneeded hedge GET (if any) must not hold a slot forever.
+  for (auto& get : gets) node_->forget(get.request_id);
   if (views.size() < rs_.data_shards()) {
     throw std::runtime_error("EC read: not enough shards survived");
   }

@@ -76,10 +76,13 @@ void write_meta(BufferWriter& w, const FileMeta& meta);
 FileMeta read_meta(BufferReader& r);
 
 // A cache worker: an RpcNode whose handlers are backed by a CacheServer
-// block store (checksummed, thread-safe).
+// block store (checksummed, thread-safe). The handlers never block or call
+// out, so the node is RpcNode::Dispatch::kInline: over TCP they run on the
+// transport's loop thread, elsewhere on the node's service thread — one at
+// a time either way.
 //
 // Epoch validation: every PUT carries the layout epoch it belongs to; the
-// worker remembers the highest epoch seen per file (service-thread state,
+// worker remembers the highest epoch seen per file (handler-thread state,
 // no lock). A kGetBlockMulti whose request epoch is older than that gets a
 // kWrongEpoch reply instead of bytes — the signal that tells a caching
 // client its layout is stale *before* it wastes GETs and a CRC pass.
@@ -99,10 +102,11 @@ class CacheWorkerService {
 
   CacheServer store_;
   // file -> highest layout epoch PUT here. Touched only by this node's
-  // service thread (all mutations arrive as RPCs), so unlocked by design.
+  // handlers (all mutations arrive as RPCs, handled one at a time), so
+  // unlocked by design.
   std::unordered_map<FileId, std::uint64_t> epochs_;
-  // Serve scratch, reused across requests (handlers run on the single
-  // service thread): the multi-GET piece-index span lives in the arena and
+  // Serve scratch, reused across requests (handlers run one at a time):
+  // the multi-GET piece-index span lives in the arena and
   // the BlockRef list in a recycled vector, so a steady-state multi-GET
   // allocates nothing beyond the reply payload that ships.
   Arena scratch_arena_{16 * 1024};
@@ -110,7 +114,8 @@ class CacheWorkerService {
   std::unique_ptr<RpcNode> node_;
 };
 
-// The SP-Master as a service over the metadata Master. It also hosts the
+// The SP-Master as a service over the metadata Master (an inline node, like
+// the workers: its handlers never block or call out). It also hosts the
 // deployment's StableStore (the checkpointed tier the paper assumes under
 // the cache): clients kPutStable whole files after a write, and the
 // RpcRecoveryCoordinator restores lost pieces from it after a worker

@@ -24,6 +24,9 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 }
 
 constexpr std::uint8_t kFlagIsReply = 0x01;
+constexpr unsigned kStatusShift = 1;
+constexpr std::uint8_t kStatusMask = 0x0E;
+constexpr std::uint8_t kMaxStatus = static_cast<std::uint8_t>(Status::kDeadlineExpired);
 
 }  // namespace
 
@@ -42,7 +45,10 @@ std::array<std::uint8_t, kFrameHeaderSize> encode_frame_header(const Envelope& e
   };
   put32(0, kFrameMagic);
   h[4] = kFrameVersion;
-  h[5] = envelope.is_reply ? kFlagIsReply : 0;
+  h[5] = envelope.is_reply ? static_cast<std::uint8_t>(
+                                 kFlagIsReply | (static_cast<std::uint8_t>(envelope.status)
+                                                 << kStatusShift))
+                           : 0;
   h[6] = static_cast<std::uint8_t>(envelope.method);
   h[7] = static_cast<std::uint8_t>(envelope.method >> 8);
   put32(8, envelope.from);
@@ -85,6 +91,14 @@ std::uint32_t FrameDecoder::validate_header(const std::uint8_t* h) {
     throw FramingError("unsupported frame version " + std::to_string(version) +
                        " at stream offset " + std::to_string(stream_offset_));
   }
+  const std::uint8_t flags = h[5];
+  const std::uint8_t status = (flags & kStatusMask) >> kStatusShift;
+  if ((flags & ~(kFlagIsReply | kStatusMask)) != 0 || status > kMaxStatus ||
+      (status != 0 && (flags & kFlagIsReply) == 0)) {
+    poisoned_ = true;
+    throw FramingError("undefined frame flags 0x" + std::to_string(flags) +
+                       " at stream offset " + std::to_string(stream_offset_));
+  }
   const std::uint32_t payload_len = get_u32(h + 28);
   if (payload_len > kMaxFramePayload) {
     poisoned_ = true;
@@ -95,6 +109,18 @@ std::uint32_t FrameDecoder::validate_header(const std::uint8_t* h) {
   return payload_len;
 }
 
+Envelope FrameDecoder::parse_header(const std::uint8_t* h) {
+  Envelope envelope;
+  envelope.is_reply = (h[5] & kFlagIsReply) != 0;
+  envelope.status = static_cast<Status>((h[5] & kStatusMask) >> kStatusShift);
+  envelope.method = get_u16(h + 6);
+  envelope.from = get_u32(h + 8);
+  envelope.to = get_u32(h + 12);
+  envelope.request_id = get_u64(h + 16);
+  envelope.deadline_ms = get_u32(h + 24);
+  return envelope;
+}
+
 std::optional<Envelope> FrameDecoder::next() {
   if (poisoned_) throw FramingError("FrameDecoder: poisoned by an earlier framing error");
   if (direct_) return std::nullopt;  // mid-frame: bytes go through commit_direct
@@ -103,13 +129,7 @@ std::optional<Envelope> FrameDecoder::next() {
   const std::uint32_t payload_len = validate_header(h);
   if (buffered() < kFrameHeaderSize + payload_len) return std::nullopt;
 
-  Envelope envelope;
-  envelope.is_reply = (h[5] & kFlagIsReply) != 0;
-  envelope.method = get_u16(h + 6);
-  envelope.from = get_u32(h + 8);
-  envelope.to = get_u32(h + 12);
-  envelope.request_id = get_u64(h + 16);
-  envelope.deadline_ms = get_u32(h + 24);
+  Envelope envelope = parse_header(h);
   const std::uint8_t* body = h + kFrameHeaderSize;
   envelope.payload.assign(body, body + payload_len);
 
@@ -129,13 +149,7 @@ bool FrameDecoder::try_begin_direct(std::size_t min_payload) {
   if (payload_len < min_payload) return false;
   if (buffered() >= kFrameHeaderSize + payload_len) return false;
 
-  direct_env_ = Envelope{};
-  direct_env_.is_reply = (h[5] & 0x01) != 0;
-  direct_env_.method = get_u16(h + 6);
-  direct_env_.from = get_u32(h + 8);
-  direct_env_.to = get_u32(h + 12);
-  direct_env_.request_id = get_u64(h + 16);
-  direct_env_.deadline_ms = get_u32(h + 24);
+  direct_env_ = parse_header(h);
   direct_env_.payload.resize(payload_len);
   // Move the body prefix that already arrived, then hand the tail to the
   // transport as the receive target.

@@ -4,8 +4,9 @@
 //
 //   offset  size  field
 //        0     4  magic      0x53504357 ("SPCW")
-//        4     1  version    kFrameVersion (2)
-//        5     1  flags      bit 0 = is_reply
+//        4     1  version    kFrameVersion (3)
+//        5     1  flags      bit 0 = is_reply, bits 1-3 = reply Status
+//                            (0 on requests), bits 4-7 = 0
 //        6     2  method id
 //        8     4  from node id
 //       12     4  to node id
@@ -17,6 +18,9 @@
 // deadline is relative, not a wall-clock timestamp, so it survives clock
 // skew between processes; the receiving RpcNode measures it against its
 // own arrival stamp to shed requests whose caller has already given up.
+// Version 3 moved a reply's Status from the payload's first byte into the
+// flags, so the payload is the handler's body as written and the receiver
+// moves it into the Reply without a copy.
 //
 // The payload is the envelope body unchanged — the same length-delimited
 // bytes the in-process transport hands to handlers, so the two backends
@@ -24,7 +28,7 @@
 //
 // Decoding is incremental and defensive: `FrameDecoder` accepts arbitrary
 // byte chunks (TCP has no message boundaries) and validates magic,
-// version, and payload length *before* trusting the length field, so a
+// version, flags and payload length *before* trusting the length field, so a
 // corrupted or hostile stream yields a `FramingError` — never a crash, an
 // over-read, or an unbounded allocation. A decoder that has thrown is
 // poisoned (the stream position is unrecoverable); the connection must be
@@ -43,15 +47,15 @@
 namespace spcache::rpc {
 
 inline constexpr std::uint32_t kFrameMagic = 0x53504357u;  // "SPCW" little-endian
-inline constexpr std::uint8_t kFrameVersion = 2;
+inline constexpr std::uint8_t kFrameVersion = 3;
 inline constexpr std::size_t kFrameHeaderSize = 32;
 // Upper bound on a single payload: large enough for any piece this repo
 // moves, small enough that a corrupted length field cannot demand an
 // absurd allocation or stall the stream forever.
 inline constexpr std::size_t kMaxFramePayload = std::size_t{1} << 30;  // 1 GiB
 
-// A malformed frame header (bad magic, unknown version, oversized
-// length). Carries the byte offset of the offending frame within the
+// A malformed frame header (bad magic, unknown version, undefined flag
+// bits or status, oversized length). Carries the byte offset of the offending frame within the
 // decoder's stream for wire debugging.
 class FramingError : public std::runtime_error {
  public:
@@ -77,8 +81,8 @@ class FrameDecoder {
 
   // Extract the next complete envelope, or nullopt while the buffered
   // bytes end mid-frame. Throws FramingError on a header that can never
-  // be valid (bad magic / version / oversized length); after a throw the
-  // decoder is poisoned and every further call throws.
+  // be valid (bad magic / version / flags / oversized length); after a
+  // throw the decoder is poisoned and every further call throws.
   std::optional<Envelope> next();
 
   // Bytes buffered but not yet consumed by next().
@@ -118,6 +122,8 @@ class FrameDecoder {
   // Shared header validation: throws FramingError (and poisons) on a
   // header that can never be valid; returns the payload length.
   std::uint32_t validate_header(const std::uint8_t* h);
+  // Envelope fields of a validated header (payload left empty).
+  static Envelope parse_header(const std::uint8_t* h);
 
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;             // consumed prefix of buf_

@@ -13,18 +13,14 @@ RepartitionerService::RepartitionerService(Bus& bus, NodeId node_id, std::uint32
     : server_id_(server_id),
       master_node_(master_node),
       worker_of_server_(std::move(worker_of_server)) {
-  // Two endpoints: the service node receives REPARTITION_FILE requests; a
-  // sibling client node issues the GET/PUT/REGISTER calls from inside the
-  // handler. (A node cannot await replies on its own service thread — the
-  // same reason real services separate server and client sockets.)
+  // A mailbox node: the handlers call out (GET/PUT/REGISTER through the
+  // same node) and block on the replies, which resolve on the thread that
+  // delivers them, not on this node's service thread.
   node_ = std::make_unique<RpcNode>(bus, node_id, "repartitioner-" + std::to_string(server_id));
-  client_ = std::make_unique<RpcNode>(bus, node_id + 10000,
-                                      "repartitioner-client-" + std::to_string(server_id));
   node_->handle(kRepartitionFile, [this](BufferReader& r) { return handle_repartition(r); });
   node_->handle(kDeltaRepartitionFile,
                 [this](BufferReader& r) { return handle_delta_repartition(r); });
   node_->start();
-  client_->start();
 }
 
 std::vector<std::uint8_t> RepartitionerService::handle_repartition(BufferReader& r) {
@@ -46,7 +42,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_repartition(BufferReader&
   {
     BufferWriter w;
     w.u32(file);
-    const auto reply = client_->call_sync(master_node_, kFileEpoch, w.take());
+    const auto reply = node_->call_sync(master_node_, kFileEpoch, w.take());
     if (reply.ok()) {
       BufferReader er(reply.payload);
       current_epoch = er.u64();
@@ -62,7 +58,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_repartition(BufferReader&
     BufferWriter w;
     w.u32(file);
     w.u32(i);
-    gets.push_back(client_->call(worker_of_server_.at(old_servers[i]), kGetBlock, w.take()));
+    gets.push_back(node_->call(worker_of_server_.at(old_servers[i]), kGetBlock, w.take()));
   }
   std::vector<std::uint8_t> data;
   for (std::uint32_t i = 0; i < old_n; ++i) {
@@ -80,7 +76,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_repartition(BufferReader&
     w.u32(file);
     w.u32(i);
     const auto reply =
-        client_->call_sync(worker_of_server_.at(old_servers[i]), kEraseBlock, w.take());
+        node_->call_sync(worker_of_server_.at(old_servers[i]), kEraseBlock, w.take());
     if (!reply.ok()) throw std::runtime_error("repartition ERASE failed");
   }
 
@@ -95,7 +91,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_repartition(BufferReader&
     w.bytes(pieces[i]);
     w.u64(proposed);
     if (new_servers[i] != server_id_) moved += pieces[i].size();
-    puts.push_back(client_->call(worker_of_server_.at(new_servers[i]), kPutBlock, w.take()));
+    puts.push_back(node_->call(worker_of_server_.at(new_servers[i]), kPutBlock, w.take()));
   }
   for (auto& f : puts) {
     const auto reply = f.get();
@@ -113,7 +109,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_repartition(BufferReader&
     reg.u32(new_servers[i]);
     reg.u64(pieces[i].size());
   }
-  const auto reply = client_->call_sync(master_node_, kRegisterFile, reg.take());
+  const auto reply = node_->call_sync(master_node_, kRegisterFile, reg.take());
   if (!reply.ok()) throw std::runtime_error("repartition REGISTER failed");
 
   BufferWriter out;
@@ -133,7 +129,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_delta_repartition(BufferR
   {
     BufferWriter w;
     w.u32(file);
-    const auto reply = client_->call_sync(master_node_, kLookupFile, w.take());
+    const auto reply = node_->call_sync(master_node_, kLookupFile, w.take());
     if (!reply.ok()) {
       throw std::runtime_error("delta repartition LOOKUP failed: " + reply.error_text());
     }
@@ -154,7 +150,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_delta_repartition(BufferR
     for (const auto& piece : rplan.pieces) {
       BufferWriter w;
       stage_header(w, piece.new_piece, kStageOpDiscard);
-      client_->call_sync(worker_of_server_.at(piece.dst_server), kStagePiece, w.take());
+      node_->call_sync(worker_of_server_.at(piece.dst_server), kStagePiece, w.take());
     }
   };
 
@@ -176,7 +172,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_delta_repartition(BufferR
           w.u32(range.old_piece);
           w.u64(range.offset_in_piece);
           w.u64(range.length);
-          const auto reply = client_->call_sync(dst, kStagePiece, w.take());
+          const auto reply = node_->call_sync(dst, kStagePiece, w.take());
           if (!reply.ok()) {
             throw std::runtime_error("stage local-copy failed: " + reply.error_text());
           }
@@ -188,7 +184,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_delta_repartition(BufferR
           g.u64(range.offset_in_piece);
           g.u64(range.length);
           const auto got =
-              client_->call_sync(worker_of_server_.at(range.src_server), kGetRange, g.take());
+              node_->call_sync(worker_of_server_.at(range.src_server), kGetRange, g.take());
           if (!got.ok()) {
             throw std::runtime_error("GET_RANGE failed: " + got.error_text());
           }
@@ -200,7 +196,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_delta_repartition(BufferR
           w.u64(piece.piece_size);
           w.u64(filled);
           w.bytes(bytes);
-          const auto reply = client_->call_sync(dst, kStagePiece, w.take());
+          const auto reply = node_->call_sync(dst, kStagePiece, w.take());
           if (!reply.ok()) {
             throw std::runtime_error("stage append failed: " + reply.error_text());
           }
@@ -212,7 +208,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_delta_repartition(BufferR
       // splices.
       BufferWriter w;
       stage_header(w, piece.new_piece, kStageOpFinalize);
-      const auto reply = client_->call_sync(dst, kStagePiece, w.take());
+      const auto reply = node_->call_sync(dst, kStagePiece, w.take());
       bool sealed = reply.ok();
       if (sealed) {
         BufferReader fr(reply.payload);
@@ -226,7 +222,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_delta_repartition(BufferR
     {
       BufferWriter w;
       w.u32(file);
-      const auto reply = client_->call_sync(master_node_, kFileEpoch, w.take());
+      const auto reply = node_->call_sync(master_node_, kFileEpoch, w.take());
       if (!reply.ok()) throw std::runtime_error("delta repartition epoch check failed");
       BufferReader er(reply.payload);
       if (er.u64() != meta.epoch) {
@@ -237,7 +233,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_delta_repartition(BufferR
       BufferWriter w;
       stage_header(w, piece.new_piece, kStageOpPublish);
       const auto reply =
-          client_->call_sync(worker_of_server_.at(piece.dst_server), kStagePiece, w.take());
+          node_->call_sync(worker_of_server_.at(piece.dst_server), kStagePiece, w.take());
       bool published = reply.ok();
       if (published) {
         BufferReader fr(reply.payload);
@@ -255,7 +251,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_delta_repartition(BufferR
     BufferWriter reg;
     reg.u32(file);
     write_meta(reg, new_meta);
-    const auto reply = client_->call_sync(master_node_, kRegisterFile, reg.take());
+    const auto reply = node_->call_sync(master_node_, kRegisterFile, reg.take());
     if (!reply.ok()) throw std::runtime_error("delta repartition REGISTER failed");
   } catch (const std::exception&) {
     discard_all();
@@ -272,7 +268,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_delta_repartition(BufferR
     BufferWriter w;
     w.u32(file);
     w.u32(i);
-    client_->call_sync(worker_of_server_.at(meta.servers[i]), kEraseBlock, w.take());
+    node_->call_sync(worker_of_server_.at(meta.servers[i]), kEraseBlock, w.take());
   }
 
   BufferWriter out;

@@ -54,8 +54,7 @@ class RepartitionerService {
   std::uint32_t server_id_;
   NodeId master_node_;
   std::vector<NodeId> worker_of_server_;
-  std::unique_ptr<RpcNode> node_;    // serves kRepartitionFile
-  std::unique_ptr<RpcNode> client_;  // outbound GET/PUT/REGISTER calls
+  std::unique_ptr<RpcNode> node_;  // serves kRepartitionFile, makes the calls
 };
 
 struct RpcRepartitionStats {

@@ -84,6 +84,9 @@ void TcpTransport::attach(NodeId id, RpcNode& node) {
 }
 
 void TcpTransport::detach(NodeId id) {
+  // dispatch_mu_ first: the loop thread holds it across every call into a
+  // node, so this waits out an inline dispatch or reply resolve in flight.
+  std::lock_guard dispatch(dispatch_mu_);
   std::lock_guard lock(mu_);
   locals_.erase(id);
 }
@@ -93,9 +96,22 @@ SendStatus TcpTransport::send(Envelope envelope) {
   {
     std::lock_guard lock(mu_);
     // Local short-circuit: a co-hosted destination never touches a socket
-    // (a daemon's own services talk at in-process speed). Delivery under
-    // mu_ so detach() waits it out.
+    // (a daemon's own services talk at in-process speed).
     if (const auto it = locals_.find(envelope.to); it != locals_.end()) {
+      if (!envelope.is_reply && it->second->dispatches_inline()) {
+        // An inline node's handlers run only on the loop thread, one at a
+        // time — a local request joins the socket ones there instead of
+        // running on the sender's thread.
+        if (!loop_started_) return SendStatus::kNoRoute;
+        auto boxed = std::make_shared<Envelope>(std::move(envelope));
+        loop_.post([this, boxed] {
+          deliver_inbound(std::move(*boxed), -1);
+          flush_touched();
+        });
+        return SendStatus::kAccepted;
+      }
+      // A reply resolves and a mailbox request queues right here — no
+      // handler runs — under mu_, so detach() waits it out.
       it->second->deliver(std::move(envelope));
       return SendStatus::kAccepted;
     }
@@ -125,11 +141,20 @@ SendStatus TcpTransport::send(Envelope envelope) {
   // batched write path, the same box then keeps the payload alive by
   // reference while it sits in the connection's frame queue.
   auto boxed = std::make_shared<Envelope>(std::move(envelope));
+  if (loop_.on_loop_thread()) {
+    // A send made on the loop thread (an inline handler's reply) goes
+    // straight onto its connection's queue; the loop flushes each touched
+    // connection once per read pass — no stage, no post, no eventfd wake.
+    const int fd = enqueue_on_loop(std::move(boxed));
+    if (fd >= 0) touch(fd);
+    return SendStatus::kAccepted;
+  }
   if (config_.batch_writes) {
     // Stage the envelope and wake the loop only if no sweep is already
-    // pending: a burst of sends (e.g. replies fanned out by a service
-    // thread) rides a single eventfd wake and drains in one sweep, which
-    // flushes each touched connection exactly once.
+    // pending: a burst of sends (e.g. requests fanned out by callers, or
+    // replies from a mailbox node's service thread) rides a single eventfd
+    // wake and drains in one sweep, which flushes each touched connection
+    // exactly once.
     bool need_post = false;
     {
       std::lock_guard lock(stage_mu_);
@@ -160,37 +185,26 @@ void TcpTransport::drain_staged() {
     // fresh post, because this sweep no longer sees its envelope.
     stage_sweep_pending_ = false;
   }
-  // Dedup touched fds so each connection flushes once per burst. Bursts are
-  // small (tens of frames over a handful of peers) — linear scan beats a set.
-  constexpr std::size_t kMaxTouched = 64;
-  int touched[kMaxTouched];
-  std::size_t ntouched = 0;
   for (auto& boxed : batch) {
     const int fd = enqueue_on_loop(std::move(boxed));
-    if (fd < 0) continue;
-    bool seen = false;
-    for (std::size_t i = 0; i < ntouched; ++i) {
-      if (touched[i] == fd) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      if (ntouched == kMaxTouched) {
-        // Overflow safety valve: flush the fullest slate and start over.
-        for (std::size_t i = 0; i < ntouched; ++i) {
-          const auto it = conns_.find(touched[i]);
-          if (it != conns_.end()) flush_conn(*it->second);
-        }
-        ntouched = 0;
-      }
-      touched[ntouched++] = fd;
-    }
+    if (fd >= 0) touch(fd);
   }
-  for (std::size_t i = 0; i < ntouched; ++i) {
-    const auto it = conns_.find(touched[i]);
+  flush_touched();
+}
+
+void TcpTransport::touch(int fd) {
+  // Bursts touch a handful of connections — a linear scan beats a set.
+  if (std::find(touched_.begin(), touched_.end(), fd) == touched_.end()) {
+    touched_.push_back(fd);
+  }
+}
+
+void TcpTransport::flush_touched() {
+  for (const int fd : touched_) {
+    const auto it = conns_.find(fd);
     if (it != conns_.end()) flush_conn(*it->second);
   }
+  touched_.clear();
 }
 
 int TcpTransport::enqueue_on_loop(std::shared_ptr<Envelope> boxed) {
@@ -398,33 +412,44 @@ void TcpTransport::read_conn(Conn& conn) {
         // the connection; the peer's in-flight calls time out and retry.
         count(framing_errors_, &ObsProbes::framing_errors);
         close_conn(conn.fd);
-        return;
+        break;
       }
       continue;
     }
     if (n == 0) {  // orderly peer close
       close_conn(conn.fd);
-      return;
+      break;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
     close_conn(conn.fd);
-    return;
+    break;
   }
+  // Replies that inline handlers queued during this read pass leave now,
+  // one flush per touched connection — requests that arrived while earlier
+  // ones were being served share the writev. Flushing only once decoding
+  // is over keeps a failed flush from closing a connection mid-read.
+  flush_touched();
 }
 
 void TcpTransport::deliver_inbound(Envelope envelope, int via_fd) {
-  std::unique_lock lock(mu_);
-  // Learn the reply route: the sender is reachable over this connection.
-  // Newest connection wins, so a reconnected peer supersedes its corpse.
-  route_[envelope.from] = via_fd;
-  const auto it = locals_.find(envelope.to);
-  if (it != locals_.end()) {
-    it->second->deliver(std::move(envelope));
+  // dispatch_mu_, not mu_, spans the call into the node: an inline
+  // handler's reply send takes mu_, and detach() takes dispatch_mu_ to
+  // wait this out.
+  std::lock_guard dispatch(dispatch_mu_);
+  RpcNode* node = nullptr;
+  {
+    std::lock_guard lock(mu_);
+    // Learn the reply route: the sender is reachable over this connection.
+    // Newest connection wins, so a reconnected peer supersedes its corpse.
+    if (via_fd >= 0) route_[envelope.from] = via_fd;
+    if (const auto it = locals_.find(envelope.to); it != locals_.end()) node = it->second;
+  }
+  if (node == nullptr) {
+    count(frames_dropped_, &ObsProbes::frames_dropped);
     return;
   }
-  lock.unlock();
-  count(frames_dropped_, &ObsProbes::frames_dropped);
+  node->deliver(std::move(envelope));
 }
 
 void TcpTransport::flush_conn(Conn& conn) {

@@ -44,10 +44,19 @@
 // the sender posted), and flush drains many frames per syscall through
 // writev with partial-write resume across iovec boundaries. No payload
 // byte is copied between the handler's serialization and the socket.
-// Senders stage envelopes in an MPSC queue and wake the loop once per
-// burst (not once per envelope); the loop enqueues the whole burst, then
-// flushes each touched connection exactly once — so a burst of replies
-// costs one eventfd wake and one writev, not one of each per frame.
+// Off-loop senders stage envelopes in an MPSC queue and wake the loop once
+// per burst (not once per envelope); the loop enqueues the whole burst,
+// then flushes each touched connection exactly once — so a burst costs one
+// eventfd wake and one writev, not one of each per frame.
+//
+// Run-to-completion dispatch: the loop thread resolves every inbound
+// reply itself (the waiting caller wakes straight from the loop), and
+// runs the handlers of RpcNode::Dispatch::kInline nodes (cache workers,
+// the master) as their requests decode. Their replies go straight onto
+// the connection queue — no mailbox, service thread, stage or wake — and
+// leave in one flush per touched connection after each read pass. A
+// request to a co-hosted inline node is posted to the loop, so an inline
+// node's handlers only ever run there, one at a time.
 //
 // Chaos: set_fault_injector() arms seeded socket-level faults, decided on
 // the loop thread so the schedule is deterministic per seed even over
@@ -58,11 +67,15 @@
 //
 // Concurrency: all socket and connection state is owned by the epoll
 // EventLoop thread; send() does a locked reachability/overload check,
-// then posts the envelope to the loop. The routing maps (locals, address
+// then hands the envelope to the loop. The routing maps (locals, address
 // book with per-peer breaker/backpressure state, learned routes) are the
-// only cross-thread state and sit under one mutex. Counters are relaxed
-// atomics, mirrored into the MetricsRegistry (transport.*) when
-// observability is attached.
+// only cross-thread state and sit under one mutex, mu_, which is never
+// held while a handler runs (the handler's reply send takes it). The loop
+// thread instead holds dispatch_mu_ across every call into a local node;
+// detach() takes both, so it returns only once no delivery, dispatch or
+// resolve aimed at the node is in flight. Counters are relaxed atomics,
+// mirrored into the MetricsRegistry (transport.*) when observability is
+// attached.
 #pragma once
 
 #include <array>
@@ -139,7 +152,9 @@ class TcpTransport final : public Transport {
   const TcpTransportConfig& config() const { return config_; }
 
   void attach(NodeId id, RpcNode& node) override;
+  // Must not be called from an inline handler (it would wait on itself).
   void detach(NodeId id) override;
+  bool dispatches_inline() const override { return true; }
   SendStatus send(Envelope envelope) override;
   void attach_observability(obs::MetricsRegistry* registry) override;
 
@@ -248,6 +263,10 @@ class TcpTransport final : public Transport {
   // Drain the staged-send queue: enqueue the whole burst, then flush each
   // touched connection once.
   void drain_staged();
+  // Note `fd` for the next flush_touched(), which flushes each noted
+  // connection once.
+  void touch(int fd);
+  void flush_touched();
   Conn* connect_peer(NodeId id);
   void on_connected(Conn& conn);
   void handle_listen_ready();
@@ -256,6 +275,8 @@ class TcpTransport final : public Transport {
   void flush_conn(Conn& conn);
   void update_interest(Conn& conn);
   void close_conn(int fd);
+  // Hand an envelope from a socket (or, via_fd = -1, a co-hosted sender's
+  // request to an inline node) to its local node.
   void deliver_inbound(Envelope envelope, int via_fd);
   // Watermark hysteresis + peak tracking for conn's write queue.
   void update_backpressure(Conn& conn);
@@ -276,15 +297,19 @@ class TcpTransport final : public Transport {
   bool loop_started_ = false;
 
   // Cross-thread routing state (send() reachability check vs. loop-thread
-  // updates). locals_ deliveries hold mu_ so detach() waits them out, the
+  // updates). Off-loop deliveries to locals_ hold mu_ and loop-thread ones
+  // hold dispatch_mu_, so detach() (which takes both) waits them out — the
   // same guarantee InprocTransport gives RpcNode teardown.
+  std::mutex dispatch_mu_;
   mutable std::mutex mu_;
   std::unordered_map<NodeId, RpcNode*> locals_;
   std::unordered_map<NodeId, Peer> addrs_;
   std::unordered_map<NodeId, int> route_;  // node -> live connection fd
 
-  // Loop-thread-only connection table.
+  // Loop-thread-only connection table, and the connections with frames
+  // queued since the last flush_touched().
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
+  std::vector<int> touched_;
 
   // Staged sends (batched write path): producers push under stage_mu_ and
   // post the drain closure only when none is pending — one wake per burst.

@@ -8,7 +8,8 @@
 // That seam is the `Transport` interface below:
 //
 //   * `InprocTransport` (this file) — the mailbox routing the repo grew up
-//     on: a shared registry of local `RpcNode`s, delivery is a deque push.
+//     on: a shared registry of local `RpcNode`s, a request's delivery is a
+//     deque push.
 //     Deterministic, allocation-light, and the default every test and
 //     bench keeps using.
 //   * `TcpTransport` (rpc/tcp_transport.h) — the same envelopes framed
@@ -38,14 +39,16 @@ namespace spcache::rpc {
 using NodeId = std::uint32_t;
 using MethodId = std::uint16_t;
 
-// Status byte leading every reply payload.
+// Outcome of a call, carried by every reply envelope (and in the frame
+// header's flags over TCP); the payload is the handler's body, or the
+// error text for a non-kOk status.
 //   kTransportOverloaded — the send was refused before touching the wire:
 //     the destination's write queue sits above its high watermark or its
 //     circuit breaker is open. A fast, retryable signal (back off, do not
 //     pile more bytes onto a struggling peer).
 //   kDeadlineExpired — the server shed the request because its propagated
-//     deadline had already passed when the service thread reached it;
-//     the caller has long stopped waiting, so no handler ran.
+//     deadline had already passed when a mailbox node's service thread
+//     reached it; the caller has long stopped waiting, so no handler ran.
 enum class Status : std::uint8_t {
   kOk = 0,
   kError = 1,
@@ -89,6 +92,8 @@ struct Envelope {
   // so a request that sat in a queue past its budget is shed with
   // kDeadlineExpired instead of running a handler nobody waits for.
   std::uint32_t deadline_ms = 0;
+  // Replies only: the call's outcome (kOk on every request).
+  Status status = Status::kOk;
   // Stamped by RpcNode::deliver on the receiving side; not on the wire.
   std::chrono::steady_clock::time_point accepted_at{};
   std::vector<std::uint8_t> payload;
@@ -114,11 +119,16 @@ class Transport {
   virtual ~Transport() = default;
 
   // Local endpoint registration: inbound envelopes addressed to `id` are
-  // delivered into `node`'s mailbox. detach() must not return while a
-  // concurrent delivery to that node is in flight — RpcNode's destructor
-  // relies on this to tear down safely.
+  // handed to `node` (RpcNode::deliver). detach() must not return while a
+  // delivery, dispatch or reply resolve aimed at that node is in flight —
+  // RpcNode's destructor relies on this to tear down safely.
   virtual void attach(NodeId id, RpcNode& node) = 0;
   virtual void detach(NodeId id) = 0;
+
+  // True if this backend runs the handlers of RpcNode::Dispatch::kInline
+  // nodes on the thread that receives their requests (TcpTransport's loop
+  // thread). False keeps every node on its mailbox and service thread.
+  virtual bool dispatches_inline() const { return false; }
 
   // Carry `envelope` toward its destination. kNoRoute when the
   // destination is not a known endpoint, kOverloaded/kCircuitOpen when
@@ -140,8 +150,8 @@ class Transport {
 };
 
 // The in-process mailbox transport: routes by node id through a local
-// registry. Extracted verbatim from the original Bus routing, so every
-// pre-existing test and bench behaves identically.
+// registry. Requests land in the destination's mailbox (every node keeps
+// its service thread here); replies resolve on the sending thread.
 class InprocTransport final : public Transport {
  public:
   void attach(NodeId id, RpcNode& node) override;

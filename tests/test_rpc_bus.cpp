@@ -55,6 +55,26 @@ TEST(RpcBus, UnknownMethodRejected) {
   EXPECT_EQ(reply.status, Status::kNoSuchMethod);
 }
 
+// Replies resolve on the delivering thread: a node that only makes calls
+// needs no start().
+TEST(RpcBus, ClientNodeWithoutStartReceivesReplies) {
+  Bus bus;
+  RpcNode server(bus, 1, "echo");
+  server.handle(7, [](BufferReader& r) {
+    BufferWriter w;
+    w.str(r.str());
+    return w.take();
+  });
+  server.start();
+  RpcNode client(bus, 2, "never-started");
+  BufferWriter w;
+  w.str("hi");
+  const auto reply = client.call_sync(1, 7, w.take());
+  ASSERT_TRUE(reply.ok());
+  BufferReader r(reply.payload);
+  EXPECT_EQ(r.str(), "hi");
+}
+
 TEST(RpcBus, UnknownNodeFailsImmediately) {
   Bus bus;
   RpcNode client(bus, 2, "client");

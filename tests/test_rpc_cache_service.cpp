@@ -6,6 +6,7 @@
 
 #include "common/thread_pool.h"
 #include "core/sp_cache.h"
+#include "fault/fault_injector.h"
 
 namespace spcache::rpc {
 namespace {
@@ -162,6 +163,30 @@ TEST_F(RpcClusterTest, SpCachePlacementOverRpc) {
     client_->write(f, originals[f], sp.placement(f).servers);
   }
   for (FileId f = 0; f < 20; ++f) EXPECT_EQ(client_->read(f), originals[f]);
+}
+
+// Every wait has a deadline: with every envelope lost, write() fails
+// after its bounded waits (kFileEpoch, then the PUT join) instead of
+// blocking on a PUT reply that never comes.
+TEST(RpcCacheService, WriteFailsWithinTimeoutWhenEveryEnvelopeIsLost) {
+  Bus bus;
+  MasterService master(bus);
+  CacheWorkerService worker(bus, kFirstWorkerNode, 0, gbps(1.0));
+  fault::FaultConfig fc;
+  fc.bus_drop_p = 1.0;
+  fault::FaultInjector injector(3, fc);
+  bus.set_fault_injector(&injector);
+  constexpr auto kTimeout = std::chrono::milliseconds(50);
+  RpcSpClient client(bus, kFirstClientNode, kMasterNode, {worker.node_id()},
+                     fault::RetryPolicy{}, kTimeout);
+  const std::vector<std::uint8_t> data(1000, 7);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(client.write(1, data, {0}), std::runtime_error);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  // One kFileEpoch timeout plus one PUT timeout, with scheduling slack.
+  EXPECT_LT(elapsed, 6 * kTimeout);
+  EXPECT_EQ(client.node().pending_calls(), 0u) << "a timed-out PUT leaked its slot";
+  bus.set_fault_injector(nullptr);
 }
 
 }  // namespace

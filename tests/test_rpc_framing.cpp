@@ -21,6 +21,7 @@ Envelope make_envelope(Rng& rng, std::size_t payload_len) {
   e.to = static_cast<NodeId>(rng.uniform_index(2000));
   e.request_id = rng.next_u64();
   e.is_reply = rng.uniform_index(2) == 1;
+  if (e.is_reply) e.status = static_cast<Status>(rng.uniform_index(6));
   e.method = static_cast<MethodId>(rng.uniform_index(0x10000));
   e.deadline_ms = static_cast<std::uint32_t>(rng.uniform_index(120000));
   e.payload.resize(payload_len);
@@ -33,6 +34,7 @@ void expect_same(const Envelope& a, const Envelope& b) {
   EXPECT_EQ(a.to, b.to);
   EXPECT_EQ(a.request_id, b.request_id);
   EXPECT_EQ(a.is_reply, b.is_reply);
+  EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.method, b.method);
   EXPECT_EQ(a.deadline_ms, b.deadline_ms);
   EXPECT_EQ(a.payload, b.payload);
@@ -113,9 +115,9 @@ TEST(Framing, EveryTruncationPointIsIncomplete) {
   }
 }
 
-// The v2 header carries the relative deadline at offset 24 (little
-// endian), ahead of the payload length at 28 — pin the exact wire bytes
-// so an accidental layout change cannot pass as a refactor.
+// The header carries the relative deadline at offset 24 (little endian),
+// ahead of the payload length at 28 — pin the exact wire bytes so an
+// accidental layout change cannot pass as a refactor.
 TEST(Framing, DeadlineRidesAtOffset24) {
   Rng rng(11);
   Envelope e = make_envelope(rng, 5);
@@ -151,6 +153,60 @@ TEST(Framing, BadVersionRejected) {
   bytes[4] = kFrameVersion + 1;
   FrameDecoder d;
   d.feed(bytes);
+  EXPECT_THROW(d.next(), FramingError);
+}
+
+// Every Status value survives the v3 header (flags bits 1-3) under every
+// chunking of the stream, and the reply payload arrives exactly as sent —
+// no status byte in front of it.
+TEST(Framing, EveryStatusRoundtripsThroughV3Header) {
+  Rng rng(21);
+  std::vector<Envelope> sent;
+  std::vector<std::uint8_t> stream;
+  for (std::uint8_t st = 0; st <= static_cast<std::uint8_t>(Status::kDeadlineExpired); ++st) {
+    Envelope e = make_envelope(rng, 3 + st);
+    e.is_reply = true;
+    e.status = static_cast<Status>(st);
+    encode_frame(e, stream);
+    EXPECT_EQ(stream[stream.size() - e.payload.size() - kFrameHeaderSize + 4], 3)
+        << "frame version";
+    sent.push_back(std::move(e));
+  }
+  for (std::size_t chunk = 1; chunk <= stream.size(); ++chunk) {
+    FrameDecoder d;
+    std::vector<Envelope> got;
+    for (std::size_t at = 0; at < stream.size(); at += chunk) {
+      d.feed(std::span(stream.data() + at, std::min(chunk, stream.size() - at)));
+      while (auto e = d.next()) got.push_back(std::move(*e));
+    }
+    ASSERT_EQ(got.size(), sent.size()) << "chunk " << chunk;
+    for (std::size_t i = 0; i < sent.size(); ++i) expect_same(sent[i], got[i]);
+  }
+}
+
+// Flags bits that mean nothing — bits 4-7, a status past kDeadlineExpired,
+// a status on a request — and frames of the previous version are
+// FramingErrors, never silently reinterpreted.
+TEST(Framing, UndefinedFlagBitsAndV2FramesRejected) {
+  Rng rng(22);
+  Envelope reply = make_envelope(rng, 8);
+  reply.is_reply = true;
+  reply.status = Status::kOk;
+  const auto clean = encode_frame(reply);
+  std::vector<std::uint8_t> bad_flags = {0x10, 0x20, 0x40, 0x80,  // bits 4-7
+                                         0x0D, 0x0F,              // status 6 and 7
+                                         0x02, 0x0A};             // status on a request
+  for (const std::uint8_t flags : bad_flags) {
+    auto bytes = clean;
+    bytes[5] = flags;
+    FrameDecoder d;
+    d.feed(bytes);
+    EXPECT_THROW(d.next(), FramingError) << "flags 0x" << std::hex << int{flags};
+  }
+  auto v2 = clean;
+  v2[4] = 2;
+  FrameDecoder d;
+  d.feed(v2);
   EXPECT_THROW(d.next(), FramingError);
 }
 

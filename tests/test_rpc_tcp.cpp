@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -599,6 +600,133 @@ TEST(TcpTransport, LegacyWritePathStaysBitExactOneFramePerWritev) {
   EXPECT_LE(server.frames_per_writev, 1.0);
   EXPECT_EQ(server.framing_errors, 0u);
   EXPECT_EQ(client_tcp.counters().framing_errors, 0u);
+}
+
+// Replies resolve on the thread that delivers them, so a node that only
+// makes calls needs no start() — and starts no service thread.
+TEST(TcpTransport, ClientNodeWithoutStartReceivesReplies) {
+  EchoPair p;
+  RpcNode quiet(*p.client_bus, kFirstClientNode + 1, "never-started");
+  BufferWriter w;
+  w.bytes(pattern_payload(48, 4));
+  const Reply reply = quiet.call_sync(1, kEcho, w.take(), 5000ms);
+  ASSERT_TRUE(reply.ok()) << reply.error_text();
+  BufferReader r(reply.payload);
+  EXPECT_EQ(r.bytes(), pattern_payload(48, 4));
+}
+
+// Tearing down an inline CacheWorkerService while clients stream
+// multi-GETs at it: every caller gets a reply or an error within its
+// deadline — no hang, no crash, no use-after-free of the worker (detach
+// waits out the dispatch running on the loop thread).
+TEST(TcpTransport, InlineWorkerDestroyedMidStream) {
+  TcpTransport server_tcp;
+  const std::uint16_t port = server_tcp.listen("127.0.0.1", 0);
+  Bus server_bus(server_tcp);
+  auto worker = std::make_unique<CacheWorkerService>(server_bus, kFirstWorkerNode, 0, gbps(1.0));
+
+  TcpTransport client_tcp;
+  client_tcp.start();
+  client_tcp.add_peer(kFirstWorkerNode, "127.0.0.1", port);
+  Bus client_bus(client_tcp);
+  RpcNode loader(client_bus, kFirstClientNode, "loader");
+  for (std::uint32_t piece = 0; piece < 4; ++piece) {
+    BufferWriter w;
+    w.u32(7);
+    w.u32(piece);
+    w.bytes(pattern_payload(2048, static_cast<std::uint8_t>(piece)));
+    w.u64(1);
+    ASSERT_TRUE(loader.call_sync(kFirstWorkerNode, kPutBlock, w.take(), 5000ms).ok());
+  }
+
+  constexpr int kCallers = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<int> ok{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      RpcNode node(client_bus, kFirstClientNode + 1 + static_cast<NodeId>(c), "streamer");
+      while (!stop.load()) {
+        BufferWriter w;
+        w.u32(7);
+        w.u64(1);
+        w.u32(4);
+        for (std::uint32_t piece = 0; piece < 4; ++piece) w.u32(piece);
+        const Reply reply = node.call_sync(kFirstWorkerNode, kGetBlockMulti, w.take(), 200ms);
+        (reply.ok() ? ok : failed).fetch_add(1);
+      }
+    });
+  }
+  while (ok.load() < 50) std::this_thread::sleep_for(1ms);
+  worker.reset();  // mid-stream: requests keep arriving for node 1
+  std::this_thread::sleep_for(50ms);
+  stop.store(true);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto& t : callers) t.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2s) << "a caller hung past its deadline";
+  EXPECT_GE(ok.load(), 50);
+  EXPECT_GE(failed.load(), 1) << "no call ever reached the destroyed worker";
+  EXPECT_EQ(server_tcp.counters().framing_errors, 0u);
+  EXPECT_EQ(client_tcp.counters().framing_errors, 0u);
+}
+
+// An inline node's handlers run one at a time on the loop thread, whether
+// a request arrived over a socket or from a co-hosted sender (posted to
+// the loop, never run on the sender's thread).
+TEST(TcpTransport, InlineNodeNeverRunsTwoHandlersAtOnce) {
+  TcpTransport server_tcp;
+  const std::uint16_t port = server_tcp.listen("127.0.0.1", 0);
+  Bus server_bus(server_tcp);
+  std::atomic<int> active{0};
+  std::atomic<int> overlaps{0};
+  std::atomic<int> handled{0};
+  std::atomic<std::thread::id> handler_thread{};
+  std::atomic<int> thread_switches{0};
+  RpcNode counter(server_bus, 1, "inline-counter", RpcNode::Dispatch::kInline);
+  counter.handle(kEcho, [&](BufferReader& r) {
+    if (active.fetch_add(1) != 0) overlaps.fetch_add(1);
+    const auto self = std::this_thread::get_id();
+    const auto prev = handler_thread.exchange(self);
+    if (prev != std::thread::id{} && prev != self) thread_switches.fetch_add(1);
+    const auto body = r.bytes();
+    std::this_thread::sleep_for(std::chrono::microseconds(20));  // widen the window
+    handled.fetch_add(1);
+    active.fetch_sub(1);
+    BufferWriter w;
+    w.bytes(body);
+    return w.take();
+  });
+  counter.start();
+  ASSERT_TRUE(counter.dispatches_inline());
+
+  TcpTransport client_tcp;
+  client_tcp.start();
+  client_tcp.add_peer(1, "127.0.0.1", port);
+  Bus client_bus(client_tcp);
+
+  constexpr int kPerThread = 100;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    // Threads 0-1 call over the socket; threads 2-3 are co-hosted with the
+    // inline node and take the local short-circuit.
+    Bus& bus = t < 2 ? client_bus : server_bus;
+    threads.emplace_back([&, t, bus_ptr = &bus] {
+      RpcNode caller(*bus_ptr, kFirstClientNode + static_cast<NodeId>(t), "caller");
+      for (int i = 0; i < kPerThread; ++i) {
+        const auto salt = static_cast<std::uint8_t>(t * 31 + i);
+        const Reply reply = echo_call(caller, 16 + i, salt);
+        BufferReader r(reply.payload);
+        if (!reply.ok() || r.bytes() != pattern_payload(16 + i, salt)) bad.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(handled.load(), 4 * kPerThread);
+  EXPECT_EQ(overlaps.load(), 0) << "two handlers of one inline node ran at once";
+  EXPECT_EQ(thread_switches.load(), 0) << "inline handlers ran off the loop thread";
 }
 
 TEST(TcpTransport, ShutdownIsIdempotentAndGraceful) {

@@ -7,8 +7,9 @@
 #
 # The TSan tree lives in build-tsan/ (the `tsan` preset in
 # CMakePresets.json); the release tree in build/ (the `default` preset).
-# An Address+UBSan tree is available via `cmake --preset asan` (build-asan/)
-# for memory-error hunts; it is not part of this script's default run.
+# The Address+UBSan tree (`cmake --preset asan`, build-asan/) builds only
+# the daemons and the CLI here, for the asan-daemons stage; a full ASan
+# suite run is available by hand via `ctest --preset asan`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -132,6 +133,65 @@ if [[ "$QUICK" -eq 0 ]]; then
   grep -q 'mismatches=0 ' "$TRANSPORT_DIR/cli_scenario.log"
   grep -q 'scenario=flash phase=decay' "$TRANSPORT_DIR/cli_scenario.log"
   cleanup_transport
+  trap - EXIT
+
+  echo "==> asan-daemons: ASan+UBSan daemons and CLI, workload, then SIGTERM"
+  # The daemons' teardown runs the transport's loop thread against the
+  # services and the metrics registry it calls into; ASan catches any
+  # use-after-free on that path. Boot 1 master + 3 servers from the asan
+  # tree, drive the CLI workload, SIGTERM the daemons, and fail on any
+  # nonzero exit or AddressSanitizer/UBSan report in their logs.
+  cmake --preset asan
+  cmake --build --preset asan -j "$(nproc)" --target spcache_masterd spcache_serverd spcache_cli
+  ASAN_DIR="$(mktemp -d)"
+  ASAN_PIDS=()
+  cleanup_asan() {
+    for pid in "${ASAN_PIDS[@]:-}"; do kill "$pid" 2>/dev/null || true; done
+    for pid in "${ASAN_PIDS[@]:-}"; do wait "$pid" 2>/dev/null || true; done
+    rm -rf "$ASAN_DIR"
+  }
+  trap cleanup_asan EXIT
+  export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1"
+  export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
+  timeout -k 5 180 ./build-asan/tools/spcache_masterd --port 0 --max-seconds 170 \
+      > "$ASAN_DIR/master.log" 2>&1 &
+  ASAN_PIDS+=($!)
+  for n in 1 2 3; do
+    timeout -k 5 180 ./build-asan/tools/spcache_serverd --node "$n" --port 0 --max-seconds 170 \
+        > "$ASAN_DIR/server$n.log" 2>&1 &
+    ASAN_PIDS+=($!)
+  done
+  for _ in $(seq 100); do
+    [[ -s "$ASAN_DIR/master.log" && -s "$ASAN_DIR/server1.log" && -s "$ASAN_DIR/server2.log" &&
+       -s "$ASAN_DIR/server3.log" ]] && break
+    sleep 0.1
+  done
+  ASAN_MASTER="$(grep -oE '[0-9.]+:[0-9]+' "$ASAN_DIR/master.log" | head -1)"
+  ASAN_WORKERS="$(for n in 1 2 3; do
+    grep -oE '[0-9.]+:[0-9]+' "$ASAN_DIR/server$n.log" | head -1
+  done | paste -sd,)"
+  [[ -n "$ASAN_MASTER" && -n "$ASAN_WORKERS" ]] || {
+    echo "asan-daemons stage: daemons failed to report their ports" >&2
+    cat "$ASAN_DIR"/*.log >&2
+    exit 1
+  }
+  timeout -k 5 120 ./build-asan/tools/spcache_cli --rpc --master "$ASAN_MASTER" \
+      --workers "$ASAN_WORKERS" --files 24 --requests 48 --seed 7 \
+      > "$ASAN_DIR/cli.log" 2>&1
+  grep -q 'mismatches=0 ' "$ASAN_DIR/cli.log"
+  # SIGTERM reaches each daemon through its `timeout` wrapper, whose exit
+  # status is the daemon's own.
+  ASAN_FAILED=0
+  for pid in "${ASAN_PIDS[@]}"; do kill -TERM "$pid" 2>/dev/null || true; done
+  for pid in "${ASAN_PIDS[@]}"; do wait "$pid" || ASAN_FAILED=1; done
+  ASAN_PIDS=()
+  if [[ "$ASAN_FAILED" -ne 0 ]] || grep -qE 'AddressSanitizer|LeakSanitizer|runtime error:' "$ASAN_DIR"/*.log; then
+    echo "asan-daemons stage: a daemon exited nonzero or reported a sanitizer error" >&2
+    cat "$ASAN_DIR"/*.log >&2
+    exit 1
+  fi
+  unset ASAN_OPTIONS UBSAN_OPTIONS
+  cleanup_asan
   trap - EXIT
 
   echo "==> chaos-tcp: seeded socket faults, then a worker killed mid-workload"

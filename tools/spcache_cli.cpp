@@ -409,6 +409,8 @@ int run_rpc(const Options& o) {
     }
   }
   client.flush_access_reports();
+  // Stop the loop thread before the registry it counts into is destroyed.
+  transport.shutdown();
 
   const auto c = transport.counters();
   std::cout << "reads=" << reads << " mismatches=" << mismatches

@@ -162,7 +162,6 @@ int main(int argc, char** argv) {
   std::atomic<std::uint64_t> ping_token{1};
   if (!worker_nodes.empty()) {
     monitor_node = std::make_unique<RpcNode>(bus, kMonitorNode, "monitor");
-    monitor_node->start();
     coordinator = std::make_unique<RpcRecoveryCoordinator>(
         *monitor_node, master.master(), master.stable(), worker_nodes,
         [&health_ptr](std::uint32_t s) {
@@ -170,8 +169,9 @@ int main(int argc, char** argv) {
         });
     const auto probe_timeout =
         std::chrono::milliseconds(std::max<long>(50, heartbeat_ms / 2));
-    // probe: a live worker echoes the token from its service thread — a
-    // wedged or dead one times out and the beat counts as missed.
+    // probe: a live worker echoes the token from the thread that serves
+    // its requests — a wedged or dead one times out and the beat counts as
+    // missed.
     auto probe = [&, probe_timeout](std::uint32_t s) {
       const std::uint64_t token = ping_token.fetch_add(1, std::memory_order_relaxed);
       BufferWriter w;
@@ -206,6 +206,9 @@ int main(int argc, char** argv) {
 
   if (health) health->stop();
   const HealthStats hs = health ? health->stats() : HealthStats{};
+  // Stop the loop thread before anything it calls into — the services it
+  // dispatches to, the registry it counts into — is destroyed.
+  transport.shutdown();
   const auto c = transport.counters();
   std::cout << "spcache_masterd exiting: transport.connects=" << c.connects
             << " transport.framing_errors=" << c.framing_errors

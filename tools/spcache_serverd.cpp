@@ -143,6 +143,9 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
 
+  // Stop the loop thread before anything it calls into — the worker it
+  // dispatches to, the registry it counts into — is destroyed.
+  transport.shutdown();
   const auto c = transport.counters();
   std::cout << "spcache_serverd node " << node
             << " exiting: blocks_stored=" << worker.store().blocks_stored()
