@@ -34,11 +34,10 @@
 //   fused         the data-plane-kernels PR: same sharded stores, but each
 //                 piece lands through the fused crc32_copy kernel (copy +
 //                 checksum in one pass), the whole-file CRC is stitched
-//                 from the per-piece CRCs in O(k) combine operations
+//                 from the per-piece CRCs by k-1 stateless combines
 //                 instead of a second 1 MB scan, and the reassembly buffer
-//                 and combine operators live in a per-thread scratch — the
-//                 steady-state read touches each byte once and never
-//                 allocates.
+//                 lives in a per-thread scratch — the steady-state read
+//                 touches each byte once and never allocates.
 //
 // Reported per thread count: aggregate ops/sec and p99 end-to-end read
 // latency per mode, plus sharded-vs-global speedup. On a single-core host
@@ -233,15 +232,14 @@ class ShardedReader {
   Master& master_;
 };
 
-// This PR's steady-state read: fused copy+CRC per piece, whole-file CRC by
-// combination, reassembly buffer + combiner reused across reads (one
-// Scratch per bench thread — zero heap allocations once warmed).
+// The steady-state read: fused copy+CRC per piece, whole-file CRC by
+// combination, reassembly buffer reused across reads (one Scratch per
+// bench thread — zero heap allocations once warmed).
 class FusedReader {
  public:
   struct Scratch {
     std::vector<std::uint8_t> out;
     std::array<std::uint32_t, kPieces> piece_crcs{};
-    Crc32Combiner combiner;
   };
 
   FusedReader(Cluster& cluster, Master& master) : cluster_(cluster), master_(master) {}
@@ -262,7 +260,7 @@ class FusedReader {
     }
     std::uint32_t whole = s.piece_crcs[0];
     for (std::size_t i = 1; i < meta->partitions(); ++i) {
-      whole = s.combiner.combine(whole, s.piece_crcs[i], meta->piece_sizes[i]);
+      whole = crc32_combine(whole, s.piece_crcs[i], meta->piece_sizes[i]);
     }
     if (whole != meta->file_crc) throw std::runtime_error("fused: file corrupt");
     return s.out;

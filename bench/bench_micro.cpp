@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): throughput of the building blocks —
-// GF(256) slice operations, Reed-Solomon encode/decode, CRC-32, the
-// fork-join bound solver, and the LRU — so regressions in the substrate are
-// visible independently of the experiment harnesses.
+// GF(256) slice operations, Reed-Solomon encode/decode, CRC-32 and its
+// combine, the fork-join bound solver, and the LRU — so regressions in the
+// substrate are visible independently of the experiment harnesses.
 //
 // `bench_micro --smoke` skips google-benchmark and runs the data-plane
 // gates instead (tools/check.sh `kernels` stage): RS(8,11) encode GB/s per
@@ -162,6 +162,18 @@ BENCHMARK(BM_Crc32Copy)
     ->Args({64 * 1024, 1})
     ->Args({1024 * 1024, 0})
     ->Args({1024 * 1024, 1});
+
+// Stitching a piece's CRC onto the file's running CRC, per piece length:
+// a read pays one of these per piece after its fused copies land.
+void BM_Crc32Combine(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  std::uint32_t crc = 0x12345678u;
+  for (auto _ : state) {
+    crc = crc32_combine(crc, 0x9E3779B9u, len);  // chained: no hoisting
+    benchmark::DoNotOptimize(crc);
+  }
+}
+BENCHMARK(BM_Crc32Combine)->Arg(64)->Arg(64 * 1024)->Arg(1024 * 1024);
 
 void BM_ForkJoinBound(benchmark::State& state) {
   std::vector<QueueStat> stats(static_cast<std::size_t>(state.range(0)));

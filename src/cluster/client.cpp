@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "cluster/stable_store.h"
+#include "common/crc32.h"
 #include "common/hash_mix.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -246,15 +247,15 @@ bool SpClient::read_pass(FileId id, std::size_t pass, std::uint64_t op,
   }
 
   // Whole-file verification. Clean pass: stitch the per-piece CRCs from
-  // the fused copies into crc32(result.bytes) via the combiner — O(k·32)
-  // xors, the reassembled buffer is never rescanned. Degraded pass: some
-  // ranges came from the stable restore (no fused CRC), so fall back to
-  // one full pass.
+  // the fused copies into crc32(result.bytes) — one O(log piece length)
+  // combine per piece, the reassembled buffer is never rescanned.
+  // Degraded pass: some ranges came from the stable restore (no fused
+  // CRC), so fall back to one full pass.
   std::uint32_t whole_crc;
   if (degraded == 0 && k > 0) {
     whole_crc = piece_crcs[0];
     for (std::size_t i = 1; i < k; ++i) {
-      whole_crc = scratch.combiner.combine(whole_crc, piece_crcs[i], meta.piece_sizes[i]);
+      whole_crc = crc32_combine(whole_crc, piece_crcs[i], meta.piece_sizes[i]);
     }
   } else {
     whole_crc = crc32(result.bytes);

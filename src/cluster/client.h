@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
@@ -65,10 +64,10 @@ struct IoResult {
 
 // Reusable read workspace for SpClient::read(id, scratch) — everything a
 // read needs that would otherwise be heap-allocated per call: the
-// reassembly buffer (result.bytes), the layout copy, the per-pass
-// bookkeeping arrays (arena-backed), and the CRC combine operators. After
-// one warming read, a cached-layout read of a same-or-smaller file is
-// allocation-free end to end (asserted by tests/test_cluster_read_alloc).
+// reassembly buffer (result.bytes), the layout copy and the per-pass
+// bookkeeping arrays (arena-backed). After one warming read, a
+// cached-layout read of a same-or-smaller file is allocation-free end to
+// end (asserted by tests/test_cluster_read_alloc).
 //
 // Not thread-safe: one ReadScratch per reader thread, and the IoResult
 // reference returned by read(id, scratch) aliases scratch.result — it is
@@ -77,7 +76,6 @@ struct ReadScratch {
   IoResult result;           // result.bytes doubles as the reassembly buffer
   FileMeta meta;             // layout storage (vectors keep their capacity)
   Arena arena{16 * kKB};     // offsets / fetch flags / per-piece CRCs
-  Crc32Combiner combiner;    // stitches piece CRCs into the whole-file CRC
 };
 
 class SpClient {
@@ -126,8 +124,9 @@ class SpClient {
   // with the same scratch). This is the steady-state hot path: with a
   // warmed scratch and a cached layout, a read performs zero heap
   // allocations — the piece copies run through the fused crc32_copy kernel
-  // and the whole-file CRC is stitched from the per-piece CRCs (O(k·32))
-  // instead of rescanning the reassembled bytes.
+  // and the whole-file CRC is stitched from the per-piece CRCs
+  // (crc32_combine, O(log piece length) each) instead of rescanning the
+  // reassembled bytes.
   IoResult& read(FileId id, ReadScratch& scratch);
 
   // Ship pending cache-served access counts to the master now. Returns

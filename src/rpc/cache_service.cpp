@@ -624,12 +624,11 @@ bool RpcSpClient::multi_get_pass(FileId id, const FileMeta& meta, std::size_t pa
   }
   if (all_ok) {
     // Stitch the per-piece CRCs (from the fused copies) into crc32(out):
-    // O(n·32) xors instead of a second pass over the reassembled file. The
-    // combiner caches the shift operator per distinct piece length.
-    Crc32Combiner combiner;
+    // one O(log piece length) combine per piece instead of a second pass
+    // over the reassembled file.
     whole_crc = n > 0 ? piece_crcs[0] : crc32(out);
     for (std::size_t i = 1; i < n; ++i) {
-      whole_crc = combiner.combine(whole_crc, piece_crcs[i], meta.piece_sizes[i]);
+      whole_crc = crc32_combine(whole_crc, piece_crcs[i], meta.piece_sizes[i]);
     }
   }
   return all_ok;

@@ -254,8 +254,9 @@ class RpcSpClient {
   // Returns false (with `error` set) when the pass must be retried;
   // `wrong_epoch` reports a kWrongEpoch reply (caller invalidates). Every
   // reassembly copy runs through the fused crc32_copy kernel; on success
-  // `whole_crc` carries the per-piece CRCs combined into crc32(out), so
-  // the caller's end-to-end verification never rescans the bytes.
+  // `whole_crc` carries the per-piece CRCs stitched into crc32(out) by
+  // crc32_combine (stateless, O(log piece length) per piece), so the
+  // caller's end-to-end verification never rescans the bytes.
   bool multi_get_pass(FileId id, const FileMeta& meta, std::size_t pass, std::uint64_t op,
                       std::vector<std::uint8_t>& out, std::size_t& retries,
                       bool& wrong_epoch, std::uint32_t& whole_crc, std::string& error);

@@ -1,11 +1,22 @@
 #include "rpc/repartitioner_service.h"
 
+#include <chrono>
 #include <stdexcept>
 
 #include "common/crc32.h"
 #include "erasure/rs_code.h"
 
 namespace spcache::rpc {
+
+namespace {
+
+// Bound on every call a repartition makes, the call_sync default: the
+// fanned-out GET and PUT phases each join against one deadline this far
+// out, so a lost reply fails the file instead of parking the service
+// thread and every kRepartitionFile queued behind it.
+constexpr std::chrono::milliseconds kCallTimeout{5000};
+
+}  // namespace
 
 RepartitionerService::RepartitionerService(Bus& bus, NodeId node_id, std::uint32_t server_id,
                                            NodeId master_node,
@@ -52,18 +63,23 @@ std::vector<std::uint8_t> RepartitionerService::handle_repartition(BufferReader&
 
   // Assemble: GET every old piece; pieces already on this executor's
   // co-located worker are free (Fig. 9b's locality optimization).
-  std::vector<std::future<Reply>> gets;
+  std::vector<RpcNode::PendingCall> gets;
   gets.reserve(old_n);
   for (std::uint32_t i = 0; i < old_n; ++i) {
     BufferWriter w;
     w.u32(file);
     w.u32(i);
-    gets.push_back(node_->call(worker_of_server_.at(old_servers[i]), kGetBlock, w.take()));
+    gets.push_back(node_->call_tagged(worker_of_server_.at(old_servers[i]), kGetBlock,
+                                      w.take(), kCallTimeout));
   }
   std::vector<std::uint8_t> data;
+  const auto get_deadline = std::chrono::steady_clock::now() + kCallTimeout;
   for (std::uint32_t i = 0; i < old_n; ++i) {
-    const auto reply = gets[i].get();
-    if (!reply.ok()) throw std::runtime_error("repartition GET failed: " + reply.error_text());
+    const auto reply = node_->await(gets[i], get_deadline);
+    if (!reply.ok()) {
+      for (auto& other : gets) node_->forget(other.request_id);
+      throw std::runtime_error("repartition GET failed: " + reply.error_text());
+    }
     BufferReader pr(reply.payload);
     const auto piece = pr.bytes();
     if (old_servers[i] != server_id_) moved += piece.size();
@@ -82,7 +98,7 @@ std::vector<std::uint8_t> RepartitionerService::handle_repartition(BufferReader&
 
   // Re-split and scatter.
   const auto pieces = split_plain(data, new_n);
-  std::vector<std::future<Reply>> puts;
+  std::vector<RpcNode::PendingCall> puts;
   puts.reserve(new_n);
   for (std::uint32_t i = 0; i < new_n; ++i) {
     BufferWriter w;
@@ -91,11 +107,16 @@ std::vector<std::uint8_t> RepartitionerService::handle_repartition(BufferReader&
     w.bytes(pieces[i]);
     w.u64(proposed);
     if (new_servers[i] != server_id_) moved += pieces[i].size();
-    puts.push_back(node_->call(worker_of_server_.at(new_servers[i]), kPutBlock, w.take()));
+    puts.push_back(node_->call_tagged(worker_of_server_.at(new_servers[i]), kPutBlock,
+                                      w.take(), kCallTimeout));
   }
-  for (auto& f : puts) {
-    const auto reply = f.get();
-    if (!reply.ok()) throw std::runtime_error("repartition PUT failed: " + reply.error_text());
+  const auto put_deadline = std::chrono::steady_clock::now() + kCallTimeout;
+  for (auto& put : puts) {
+    const auto reply = node_->await(put, put_deadline);
+    if (!reply.ok()) {
+      for (auto& other : puts) node_->forget(other.request_id);
+      throw std::runtime_error("repartition PUT failed: " + reply.error_text());
+    }
   }
 
   // Publish the new layout.

@@ -102,8 +102,8 @@ TEST(ReadAlloc, SteadyStateCachedReadIsAllocationFree) {
   const auto data = pattern_bytes(256 * kKB + 7);
   client.write(42, data, {0, 1, 2, 3});
 
-  // Warm: sizes the reassembly buffer, layout vectors, arena, combiner
-  // cache, and the accumulator's node for file 42.
+  // Warm: sizes the reassembly buffer, layout vectors, arena, and the
+  // accumulator's node for file 42.
   ReadScratch scratch;
   for (int i = 0; i < 3; ++i) {
     const IoResult& r = client.read(42, scratch);

@@ -52,6 +52,24 @@ TEST_F(RpcClusterTest, SinglePieceFile) {
   EXPECT_EQ(client_->read(2), data);
 }
 
+TEST_F(RpcClusterTest, RoundTripsEveryRemainderAcrossPieceCounts) {
+  // A read verifies the whole-file CRC stitched from its piece CRCs; sizes
+  // k·m + r give the k pieces two distinct lengths whenever r > 0.
+  const std::size_t m = 65536 + 7;
+  FileId id = 100;
+  for (std::uint32_t k = 1; k <= 3; ++k) {
+    std::vector<std::uint32_t> servers;
+    for (std::uint32_t s = 0; s < k; ++s) servers.push_back(2 * s + 1);
+    for (std::size_t r = 0; r < k; ++r, ++id) {
+      const auto data = random_bytes(k * m + r, rng_);
+      client_->write(id, data, servers);
+      EXPECT_EQ(client_->read(id), data) << "k=" << k << " r=" << r;
+    }
+  }
+  client_->write(id, std::vector<std::uint8_t>{}, {4});
+  EXPECT_TRUE(client_->read(id).empty());
+}
+
 TEST_F(RpcClusterTest, PiecesLandOnCorrectWorkers) {
   const auto data = random_bytes(90 * kKB, rng_);
   client_->write(3, data, {1, 3, 6});

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+
 #include "core/sp_cache.h"
 
 namespace spcache::rpc {
@@ -134,6 +137,60 @@ TEST_F(RpcRepartitionTest, EmptyPlanIsNoOp) {
       rpc_execute_repartition(*coordinator_, plan, old_servers_, repartitioner_nodes_);
   EXPECT_EQ(stats.files_touched, 0u);
   EXPECT_EQ(stats.bytes_moved, 0u);
+}
+
+TEST_F(RpcRepartitionTest, StalledGetFailsWithinBoundAndFreesTheService) {
+  // A worker stand-in that holds every kGetBlock until released, far past
+  // the repartitioner's 5 s bound on its fan-out joins.
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  RpcNode stalled_worker(bus_, kFirstWorkerNode + 100, "stalled-worker");
+  stalled_worker.handle(kGetBlock, [released](BufferReader&) {
+    released.wait_for(std::chrono::seconds(20));
+    return std::vector<std::uint8_t>{};
+  });
+  stalled_worker.start();
+  // A repartitioner that reaches server 1 through the stand-in; the client
+  // wrote through the real workers, so every file stays readable.
+  auto routes = worker_nodes_;
+  routes[1] = stalled_worker.id();
+  RepartitionerService repartitioner(bus_, kFirstRepartitionerNode + 100, 0, kMasterNode,
+                                     routes);
+
+  const auto stalled = random_bytes(40 * kKB, rng_);
+  const auto healthy = random_bytes(40 * kKB + 3, rng_);
+  client_->write(0, stalled, {0, 1});
+  client_->write(1, healthy, {0, 2});
+  const auto request = [](FileId file, const std::vector<std::uint32_t>& old_servers,
+                          const std::vector<std::uint32_t>& new_servers) {
+    BufferWriter w;
+    w.u32(file);
+    w.u32(static_cast<std::uint32_t>(old_servers.size()));
+    for (const auto s : old_servers) w.u32(s);
+    w.u32(static_cast<std::uint32_t>(new_servers.size()));
+    for (const auto s : new_servers) w.u32(s);
+    return w.take();
+  };
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto failed = coordinator_->call_sync(repartitioner.node_id(), kRepartitionFile,
+                                              request(0, {0, 1}, {2, 3}),
+                                              std::chrono::seconds(15));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(failed.ok());
+  EXPECT_NE(failed.error_text().find("repartition GET failed"), std::string::npos)
+      << failed.error_text();
+  EXPECT_LT(elapsed, std::chrono::seconds(5) + std::chrono::seconds(3));
+
+  // The stand-in still holds its GET, yet the service thread is free: a
+  // repartition that avoids server 1 goes through.
+  const auto moved = coordinator_->call_sync(repartitioner.node_id(), kRepartitionFile,
+                                             request(1, {0, 2}, {2, 3}),
+                                             std::chrono::seconds(15));
+  EXPECT_TRUE(moved.ok()) << moved.error_text();
+  release.set_value();
+  EXPECT_EQ(client_->read(1), healthy);
+  EXPECT_EQ(client_->read(0), stalled);  // the failed attempt erased nothing
 }
 
 // --- Delta flow (kDeltaRepartitionFile: kGetRange + kStagePiece relay) ---

@@ -1,8 +1,8 @@
 // spcache_cli — run a custom cluster-caching experiment from the command
 // line: pick a scheme, shape the workload, and get latency / balance /
-// memory numbers without writing any code.
+// memory numbers without writing any code. For example (one command):
 //
-//   spcache_cli --scheme sp --files 500 --size-mb 100 --zipf 1.05 \
+//   spcache_cli --scheme sp --files 500 --size-mb 100 --zipf 1.05
 //               --rate 18 --servers 30 --requests 9000 --stragglers 0.05
 //
 // Options (defaults in brackets):
@@ -28,10 +28,11 @@
 //   --arrivals F       replay an arrivals CSV (overrides --requests)
 //   --csv              machine-readable output
 //
-// Multi-process mode — drive a real TCP cluster instead of the simulator:
+// Multi-process mode — drive a real TCP cluster instead of the simulator
+// (one command):
 //
-//   spcache_cli --rpc --master 127.0.0.1:7070 \
-//               --workers 127.0.0.1:7171,127.0.0.1:7172,127.0.0.1:7173 \
+//   spcache_cli --rpc --master 127.0.0.1:7070
+//               --workers 127.0.0.1:7171,127.0.0.1:7172,127.0.0.1:7173
 //               --files 24 --size-mb 0.25 --requests 48
 //
 //   --rpc              talk to spcache_masterd / spcache_serverd daemons

@@ -1,8 +1,8 @@
 // spcache_trace_gen — materialize the library's workload generators as CSV
 // files, for inspection, external tooling, or replay via
-// `spcache_cli --catalog ... --arrivals ...`.
+// `spcache_cli --catalog ... --arrivals ...`. Usage (one command):
 //
-//   spcache_trace_gen --out-catalog cat.csv --out-arrivals arr.csv \
+//   spcache_trace_gen --out-catalog cat.csv --out-arrivals arr.csv
 //                     [--files 500] [--size-mb 100] [--zipf 1.05] [--rate 18]
 //                     [--requests 20000] [--yahoo] [--bursty] [--seed 1]
 //
