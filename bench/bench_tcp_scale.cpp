@@ -6,22 +6,17 @@
 // E client endpoints x T threads of verified reads and reports ops/s,
 // p50/p99 latency, and the servers' scatter-gather telemetry
 // (transport.writev_calls / frames_per_writev, parsed off their exit
-// lines). Two arms run back to back over identical workloads:
+// lines). The timed `batched` arm runs the write path every daemon uses:
+// staged sends (one loop wake per burst), a zero-copy frame queue, many
+// frames per writev. It runs the timed fan-out --reps times against the
+// same booted cluster and the best rep scores — the whole cluster shares
+// the machine's cores with the clients, so single short windows are
+// noisy. An untimed `chaos` arm then re-reads a smaller dataset with
+// seeded partial-write chaos armed on both sides.
 //
-//   legacy  — daemons + clients with --legacy-write-path semantics: one
-//             payload copy per send, one frame per writev (the pre-
-//             batching write path, kept as TcpTransportConfig
-//             batch_writes=false)
-//   batched — the default path: staged sends (one loop wake per burst),
-//             zero-copy frame queue, many frames per writev
-//
-// Each arm runs the timed fan-out --reps times against the same booted
-// cluster and the best rep scores — the whole cluster shares this
-// machine's cores with the clients, so single short windows are noisy.
-//
-// Writes BENCH_tcp_scale.json (one row per arm plus the speedup) and
-// exits nonzero if any read mismatched, any side saw a framing error, or
-// the batched arm failed to batch (frames_per_writev <= 1).
+// Writes BENCH_tcp_scale.json (one row per arm) and exits nonzero if any
+// read mismatched, any side saw a framing error, or the batched arm
+// failed to batch (frames_per_writev <= 1).
 //
 //   bench_tcp_scale [--smoke] [--servers N] [--endpoints E] [--threads T]
 //                   [--files F] [--file-kb KB] [--reads R] [--reps P]
@@ -69,8 +64,8 @@ struct Options {
   std::size_t threads = 32;  // per endpoint
   std::size_t files = 128;
   std::size_t file_kb = 6;
-  std::size_t reads = 20000;  // per rep, per arm
-  std::size_t reps = 3;       // timed repetitions per arm; best rep scores
+  std::size_t reads = 20000;  // per rep
+  std::size_t reps = 3;       // timed repetitions; best rep scores
   std::uint64_t seed = 42;
   std::string bindir;
   bool smoke = false;
@@ -208,13 +203,9 @@ struct Endpoint {
   std::unique_ptr<RpcSpClient> client;
 };
 
-// One arm = its own booted cluster + client endpoints. Both arms stay
-// resident at once and their timed reps interleave (legacy rep 0, batched
-// rep 0, legacy rep 1, ...) so a noisy-neighbor burst on a shared machine
-// lands on both arms instead of skewing whichever arm ran during it.
+// One arm = its own booted cluster + client endpoints.
 struct Arm {
   Options o;
-  bool legacy = false;
   std::string tag;
   // Chaos verification pass: servers AND clients run with seeded
   // partial-write chaos armed, so every writev sees clamped flushes and the
@@ -227,30 +218,23 @@ struct Arm {
   std::vector<Endpoint> endpoints;
   std::vector<std::vector<std::uint8_t>> expected;
   ArmResult result;
-  std::vector<double> rep_ops;  // ops/s of each rep, in rep order
   std::uint64_t mismatches = 0;
   std::uint64_t failures = 0;
 
-  Arm(const Options& opts, bool is_legacy, std::string arm_tag)
-      : o(opts), legacy(is_legacy), tag(std::move(arm_tag)) {}
+  Arm(const Options& opts, std::string arm_tag) : o(opts), tag(std::move(arm_tag)) {}
 
   // Spawn the daemons, connect the endpoints, write the dataset, and warm
   // every endpoint's layout cache + connections — all outside the clock.
   void boot() {
     const std::string prefix =
         "/tmp/bench_tcp_scale_" + tag + "_" + std::to_string(::getpid()) + "_";
-    {
-      std::vector<std::string> argv = {o.bindir + "/spcache_masterd", "--port", "0",
-                                       "--max-seconds", "300"};
-      if (legacy) argv.push_back("--legacy-write-path");
-      master = spawn(argv, prefix + "master.log");
-    }
+    master = spawn({o.bindir + "/spcache_masterd", "--port", "0", "--max-seconds", "300"},
+                   prefix + "master.log");
     for (std::size_t n = 0; n < o.servers; ++n) {
       std::vector<std::string> argv = {o.bindir + "/spcache_serverd",
                                        "--node",        std::to_string(kFirstWorkerNode + n),
                                        "--port",        "0",
                                        "--max-seconds", "300"};
-      if (legacy) argv.push_back("--legacy-write-path");
       if (chaos_partial > 0.0) {
         argv.insert(argv.end(), {"--chaos-seed", std::to_string(o.seed + n), "--chaos-partial",
                                  std::to_string(chaos_partial)});
@@ -263,8 +247,6 @@ struct Arm {
       worker_ports.push_back(wait_for_port(w, std::chrono::seconds(10)));
     }
 
-    TcpTransportConfig client_config;
-    client_config.batch_writes = !legacy;
     std::vector<std::uint32_t> all_servers(o.servers);
     for (std::size_t s = 0; s < o.servers; ++s) all_servers[s] = static_cast<std::uint32_t>(s);
     ClientCacheConfig cache;
@@ -272,7 +254,7 @@ struct Arm {
     endpoints.resize(o.endpoints);
     for (std::size_t e = 0; e < o.endpoints; ++e) {
       auto& ep = endpoints[e];
-      ep.transport = std::make_unique<TcpTransport>(client_config);
+      ep.transport = std::make_unique<TcpTransport>();
       if (chaos_partial > 0.0) {
         if (!client_injector) {
           fault::FaultConfig fc;
@@ -356,7 +338,6 @@ struct Arm {
     mismatches += rep_mismatches.load();
     failures += rep_failures.load();
     const double ops = wall_s > 0 ? static_cast<double>(all.size()) / wall_s : 0;
-    rep_ops.push_back(ops);
     if (ops > result.ops_per_s) {
       result.wall_s = wall_s;
       result.ops_per_s = ops;
@@ -520,32 +501,21 @@ int main(int argc, char** argv) {
             << " file_kb=" << o.file_kb << " reads=" << o.reads << " reps=" << o.reps
             << " seed=" << o.seed << (o.smoke ? " (smoke)" : "") << std::endl;
 
-  // Both clusters stay resident (an idle cluster blocks in epoll and costs
-  // nothing) and the timed reps interleave, so machine-level noise lands on
-  // both arms instead of biasing whichever arm it overlapped.
-  Arm legacy_arm(o, /*legacy=*/true, "legacy");
-  Arm batched_arm(o, /*legacy=*/false, "batched");
-  // Untimed chaos pass: a small batched-path cluster where both sides run
-  // seeded partial-write chaos, so clamped flushes exercise the iovec
-  // resume path on live daemons — every read must still be bit-exact.
+  Arm batched_arm(o, "batched");
+  // Untimed chaos pass: a small cluster where both sides run seeded
+  // partial-write chaos, so clamped flushes exercise the iovec resume path
+  // on live daemons — every read must still be bit-exact.
   Options chaos_o = o;
   chaos_o.threads = 8;
   chaos_o.reads = 600;
   chaos_o.files = std::min<std::size_t>(o.files, 32);
-  Arm chaos_arm(chaos_o, /*legacy=*/false, "chaos");
+  Arm chaos_arm(chaos_o, "chaos");
   chaos_arm.chaos_partial = 0.05;
-  ArmResult legacy;
   ArmResult batched;
   ArmResult chaos;
   try {
-    legacy_arm.boot();
     batched_arm.boot();
-    for (std::size_t rep = 0; rep < o.reps; ++rep) {
-      legacy_arm.run_rep(rep);
-      batched_arm.run_rep(rep);
-    }
-    legacy = legacy_arm.finish();
-    print_arm("legacy", legacy);
+    for (std::size_t rep = 0; rep < o.reps; ++rep) batched_arm.run_rep(rep);
     batched = batched_arm.finish();
     print_arm("batched", batched);
     chaos_arm.boot();
@@ -556,41 +526,21 @@ int main(int argc, char** argv) {
               << (chaos.client_framing_errors + chaos.server_framing_errors)
               << " sock_partial_writes=" << chaos.sock_partial_writes << std::endl;
   } catch (const std::exception& e) {
-    legacy_arm.kill_daemons();
     batched_arm.kill_daemons();
     chaos_arm.kill_daemons();
     std::cerr << "bench_tcp_scale: FAIL " << e.what() << "\n";
     return 1;
   }
 
-  // Paired estimator: reps ran interleaved, so each legacy/batched pair saw
-  // (almost) the same machine conditions — the median of per-pair ratios is
-  // far less noise-sensitive than a ratio of arm-level aggregates.
-  std::vector<double> ratios;
-  for (std::size_t rep = 0; rep < o.reps; ++rep) {
-    if (rep < legacy_arm.rep_ops.size() && rep < batched_arm.rep_ops.size() &&
-        legacy_arm.rep_ops[rep] > 0) {
-      ratios.push_back(batched_arm.rep_ops[rep] / legacy_arm.rep_ops[rep]);
-    }
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const double speedup = ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
-  std::cout << "speedup_batched_over_legacy=" << speedup << " (median of " << ratios.size()
-            << " paired reps)" << std::endl;
-
-  auto legacy_row = arm_row("legacy", o, legacy);
-  auto batched_row = arm_row("batched", o, batched);
-  batched_row.emplace_back("speedup_vs_legacy", speedup);
   auto chaos_row = arm_row("chaos", chaos_o, chaos);
   chaos_row.emplace_back("sock_partial_writes", chaos.sock_partial_writes);
-  bench::write_json_report("tcp_scale", {legacy_row, batched_row, chaos_row});
+  bench::write_json_report("tcp_scale", {arm_row("batched", o, batched), chaos_row});
 
   // Gates: correctness is absolute (including under chaos); the batched arm
   // must actually batch, and the chaos pass must actually have fired faults.
   bool ok = true;
-  const std::uint64_t mismatches = legacy.mismatches + batched.mismatches + chaos.mismatches;
-  const std::uint64_t framing = legacy.client_framing_errors + legacy.server_framing_errors +
-                                batched.client_framing_errors + batched.server_framing_errors +
+  const std::uint64_t mismatches = batched.mismatches + chaos.mismatches;
+  const std::uint64_t framing = batched.client_framing_errors + batched.server_framing_errors +
                                 chaos.client_framing_errors + chaos.server_framing_errors;
   if (chaos.read_failures != 0 || chaos.sock_partial_writes <= 0.0) {
     std::cerr << "bench_tcp_scale: FAIL chaos read_failures=" << chaos.read_failures

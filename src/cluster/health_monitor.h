@@ -14,10 +14,11 @@
 //
 // The probe and the repair are pluggable endpoints, so the same detection
 // state machine drives both deployments: the threaded cluster probes
-// `Cluster::is_alive` and repairs through `RecoveryManager` (the
-// convenience constructor), while spcache_masterd probes workers with a
-// kPing RPC over TCP and repairs through the RpcRecoveryCoordinator —
-// real missed heartbeats from a really dead process.
+// `Cluster::is_alive` (the convenience constructor), while spcache_masterd
+// probes workers with a kPing RPC over TCP — real missed heartbeats from a
+// really dead process. Both repair through `RecoveryManager`'s one sweep;
+// masterd's instance writes the replacement pieces over RPC
+// (rpc::rpc_repair_peers).
 #pragma once
 
 #include <atomic>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/log.h"
@@ -55,9 +56,36 @@ Bytes StableStore::bytes_stored() const {
 }
 
 RecoveryManager::RecoveryManager(Cluster& cluster, Master& master, StableStore& stable)
-    : cluster_(cluster), master_(master), stable_(stable) {}
+    : RecoveryManager(
+          cluster.size(),
+          RepairPeers{
+              [&cluster](std::uint32_t s) { return cluster.is_alive(s); },
+              // CacheServer keeps no epochs: the threaded client validates
+              // layouts against the master alone.
+              [&cluster](std::uint32_t s, BlockKey key, std::span<const std::uint8_t> bytes,
+                         std::uint64_t) {
+                try {
+                  cluster.server(s).put_copy(key, bytes);
+                  return true;
+                } catch (const std::exception&) {
+                  return false;  // died since the liveness check
+                }
+              }},
+          master, stable) {
+  cluster_ = &cluster;
+  rewrite_bandwidth_ = cluster.server(0).bandwidth();
+}
+
+RecoveryManager::RecoveryManager(std::size_t n_servers, RepairPeers peers, Master& master,
+                                 StableStore& stable)
+    : n_servers_(n_servers),
+      peers_(std::move(peers)),
+      rewrite_bandwidth_(std::numeric_limits<double>::infinity()),
+      master_(master),
+      stable_(stable) {}
 
 RecoveryStats RecoveryManager::repair_file(FileId id) {
+  if (cluster_ == nullptr) throw std::logic_error("repair_file: needs the threaded cluster");
   // Serialize against concurrent layout mutations (repartition, online
   // split/merge) of the same file while pieces are re-created.
   const auto guard = master_.lock_file(id);
@@ -91,16 +119,26 @@ void RecoveryManager::record_repair(const RecoveryStats& stats) {
 
 namespace {
 
-// Byte range of piece i under the layout's (possibly heterogeneous —
-// write_sized) piece sizes. The write path stores contiguous slices, so
-// slicing the restored file by the recorded sizes reproduces each piece
-// exactly, replication of split_plain's rounding included.
-std::vector<std::uint8_t> piece_slice(const std::vector<std::uint8_t>& bytes,
-                                      const std::vector<Bytes>& piece_sizes, std::size_t i) {
-  Bytes offset = 0;
-  for (std::size_t j = 0; j < i; ++j) offset += piece_sizes[j];
-  const auto begin = bytes.begin() + static_cast<std::ptrdiff_t>(offset);
-  return std::vector<std::uint8_t>(begin, begin + static_cast<std::ptrdiff_t>(piece_sizes[i]));
+// Piece i's bytes within the whole file under the layout's (possibly
+// heterogeneous — write_sized) piece sizes. The write path stores
+// contiguous slices, so slicing the restored file by the recorded sizes
+// reproduces each piece exactly, split_plain's rounding included. The
+// caller has checked that the sizes add up to the file.
+std::span<const std::uint8_t> piece_span(const std::vector<std::uint8_t>& bytes,
+                                         const std::vector<Bytes>& piece_sizes, std::size_t i) {
+  const Bytes offset = std::accumulate(piece_sizes.begin(),
+                                       piece_sizes.begin() + static_cast<std::ptrdiff_t>(i),
+                                       Bytes{0});
+  return std::span(bytes).subspan(offset, piece_sizes[i]);
+}
+
+// A stable copy the layout can be cut from: same size (the piece sizes
+// included) and same CRC as the file the layout describes.
+bool matches_layout(const std::optional<std::vector<std::uint8_t>>& bytes, const FileMeta& meta) {
+  return bytes && bytes->size() == meta.size &&
+         std::accumulate(meta.piece_sizes.begin(), meta.piece_sizes.end(), Bytes{0}) ==
+             meta.size &&
+         crc32(*bytes) == meta.file_crc;
 }
 
 }  // namespace
@@ -115,11 +153,11 @@ RecoveryStats RecoveryManager::repair_pieces(FileId id) {
   std::vector<std::size_t> missing;
   bool on_dead_server = false;
   for (std::size_t i = 0; i < meta->partitions(); ++i) {
-    if (!cluster_.server(meta->servers[i]).alive()) {
+    if (!cluster_->server(meta->servers[i]).alive()) {
       on_dead_server = true;
       continue;
     }
-    if (!cluster_.server(meta->servers[i]).contains(BlockKey{id, static_cast<PieceIndex>(i)})) {
+    if (!cluster_->server(meta->servers[i]).contains(BlockKey{id, static_cast<PieceIndex>(i)})) {
       missing.push_back(i);
     }
   }
@@ -132,24 +170,23 @@ RecoveryStats RecoveryManager::repair_pieces(FileId id) {
 
   const auto bytes = stable_.restore(id);
   if (!bytes) throw std::runtime_error("repair_file: file was never checkpointed");
-  if (crc32(*bytes) != meta->file_crc) {
+  if (!matches_layout(bytes, *meta)) {
     throw std::runtime_error("repair_file: stable copy does not match the cached file");
   }
 
   // Re-slice exactly as the write path stored and re-place the lost pieces.
   Bytes rewritten = 0;
   for (std::size_t i : missing) {
-    auto piece = piece_slice(*bytes, meta->piece_sizes, i);
+    const auto piece = piece_span(*bytes, meta->piece_sizes, i);
     rewritten += piece.size();
-    cluster_.server(meta->servers[i]).put(BlockKey{id, static_cast<PieceIndex>(i)},
-                                          std::move(piece));
+    cluster_->server(meta->servers[i]).put_copy(BlockKey{id, static_cast<PieceIndex>(i)}, piece);
     ++stats.pieces_recovered;
   }
   stats.bytes_restored = bytes->size();
   // Restore pulls the whole file from stable storage; re-placing the lost
   // pieces rides the (fast) cluster network.
   stats.modelled_time = static_cast<double>(stats.bytes_restored) / stable_.bandwidth() +
-                        static_cast<double>(rewritten) / cluster_.server(0).bandwidth();
+                        static_cast<double>(rewritten) / rewrite_bandwidth_;
   SPCACHE_LOG(kInfo) << "recovered " << stats.pieces_recovered << " piece(s) of file " << id
                      << " from stable storage (" << stats.bytes_restored / kKB << " kB)";
   return stats;
@@ -162,18 +199,20 @@ RecoveryStats RecoveryManager::repair_after_server_loss(std::uint32_t failed_ser
   // scan is advisory — layouts move underneath it — but each file's actual
   // mutation happens under its guard below, so a stale count only costs
   // balance, never correctness.
-  std::vector<std::size_t> load(cluster_.size(), 0);
+  std::vector<std::size_t> load(n_servers_, 0);
   const auto ids = master_.file_ids();
   for (FileId id : ids) {
     const auto meta = master_.peek(id);
     if (!meta) continue;
-    for (std::uint32_t s : meta->servers) ++load[s];
+    for (std::uint32_t s : meta->servers) {
+      if (s < n_servers_) ++load[s];
+    }
   }
 
   for (FileId id : ids) {
     const auto guard = master_.lock_file(id);
     if (!guard) continue;  // removed since the scan
-    auto meta = master_.peek(id);
+    const auto meta = master_.peek(id);
     if (!meta) continue;
 
     // Slots still on the failed server. None ⇒ already repaired (by an
@@ -185,31 +224,30 @@ RecoveryStats RecoveryManager::repair_after_server_loss(std::uint32_t failed_ser
     if (slots.empty()) continue;
 
     const auto bytes = stable_.restore(id);
-    if (!bytes || bytes->size() != meta->size || crc32(*bytes) != meta->file_crc) {
+    if (!matches_layout(bytes, *meta)) {
       SPCACHE_LOG(kWarn) << "repair_after_server_loss: no usable stable copy of file " << id
                          << " — skipped";
       ++total.files_skipped;
       continue;
     }
 
-    // Choose the least-loaded live replacement for each lost slot.
-    bool placed = true;
+    // Least-loaded live survivor not already holding the file; in a
+    // cluster too small for that, the least-loaded live survivor — the
+    // piece is co-located, but the file stays readable.
     auto new_meta = *meta;
+    bool placed = true;
     for (std::size_t i : slots) {
-      std::size_t best = cluster_.size();
-      std::size_t best_load = std::numeric_limits<std::size_t>::max();
-      for (std::size_t s = 0; s < cluster_.size(); ++s) {
-        if (s == failed_server || !cluster_.is_alive(s)) continue;
-        if (std::find(new_meta.servers.begin(), new_meta.servers.end(),
-                      static_cast<std::uint32_t>(s)) != new_meta.servers.end()) {
-          continue;
-        }
-        if (load[s] < best_load) {
-          best = s;
-          best_load = load[s];
-        }
+      std::size_t best = n_servers_;
+      std::size_t fallback = n_servers_;
+      for (std::uint32_t s = 0; s < n_servers_; ++s) {
+        if (s == failed_server || !peers_.alive(s)) continue;
+        if (fallback == n_servers_ || load[s] < load[fallback]) fallback = s;
+        const bool holds = std::find(new_meta.servers.begin(), new_meta.servers.end(), s) !=
+                           new_meta.servers.end();
+        if (!holds && (best == n_servers_ || load[s] < load[best])) best = s;
       }
-      if (best == cluster_.size()) {
+      if (best == n_servers_) best = fallback;
+      if (best == n_servers_) {
         placed = false;
         break;
       }
@@ -224,23 +262,35 @@ RecoveryStats RecoveryManager::repair_after_server_loss(std::uint32_t failed_ser
       continue;
     }
 
-    // Write the replacement pieces first, publish the layout second:
-    // readers holding the new layout always find the bytes; readers
-    // holding the old one fail, retry, and pick up the new layout.
+    // Write the replacement pieces at the next epoch first, publish the
+    // layout second: readers holding the new layout always find the
+    // bytes; readers holding the old one fail, retry, and pick up the new
+    // layout.
+    new_meta.epoch = meta->epoch + 1;
     Bytes rewritten = 0;
+    bool landed = true;
     for (std::size_t i : slots) {
-      auto piece = piece_slice(*bytes, new_meta.piece_sizes, i);
+      const auto piece = piece_span(*bytes, new_meta.piece_sizes, i);
+      if (!peers_.put(new_meta.servers[i], BlockKey{id, static_cast<PieceIndex>(i)}, piece,
+                      new_meta.epoch)) {
+        landed = false;
+        break;
+      }
       rewritten += piece.size();
-      cluster_.server(new_meta.servers[i])
-          .put(BlockKey{id, static_cast<PieceIndex>(i)}, std::move(piece));
-      ++total.pieces_recovered;
     }
-    master_.update_file(id, new_meta);
+    if (!landed) {
+      SPCACHE_LOG(kWarn) << "repair_after_server_loss: a replacement PUT of file " << id
+                         << " failed — skipped, layout unchanged";
+      ++total.files_skipped;
+      continue;
+    }
+    master_.update_file(id, std::move(new_meta));
+    total.pieces_recovered += slots.size();
     total.bytes_restored += bytes->size();
     // Repartitioned files recover in parallel in a real deployment; we
     // report the aggregate serial time as a conservative upper bound.
     total.modelled_time += static_cast<double>(bytes->size()) / stable_.bandwidth() +
-                           static_cast<double>(rewritten) / cluster_.server(0).bandwidth();
+                           static_cast<double>(rewritten) / rewrite_bandwidth_;
   }
   record_repair(total);
   return total;

@@ -15,9 +15,9 @@ namespace {
 
 std::vector<std::uint8_t> empty_body() { return {}; }
 
-// Bound on every RpcEcClient wait, the same as RpcSpClient's default
-// rpc_timeout: a lost reply fails the operation instead of hanging it.
-constexpr std::chrono::milliseconds kEcRpcTimeout{1000};
+// Bound on one repair PUT: a lost reply skips the file instead of parking
+// the repair sweep.
+constexpr std::chrono::milliseconds kRepairPutTimeout{1000};
 
 }  // namespace
 
@@ -282,6 +282,23 @@ MasterService::MasterService(Bus& bus, NodeId node_id) {
     return w.take();
   });
   node_->start();
+}
+
+RepairPeers rpc_repair_peers(RpcNode& node, std::vector<NodeId> worker_of_server,
+                             std::function<bool(std::uint32_t server)> alive) {
+  return RepairPeers{
+      std::move(alive),
+      [&node, workers = std::move(worker_of_server)](
+          std::uint32_t server, BlockKey key, std::span<const std::uint8_t> bytes,
+          std::uint64_t epoch) {
+        BufferWriter w;
+        w.reserve(4 + 4 + 4 + bytes.size() + 8);
+        w.u32(key.file);
+        w.u32(key.piece);
+        w.bytes(bytes);
+        w.u64(epoch);
+        return node.call_sync(workers.at(server), kPutBlock, w.take(), kRepairPutTimeout).ok();
+      }};
 }
 
 RpcSpClient::RpcSpClient(Bus& bus, NodeId node_id, NodeId master_node,
@@ -779,107 +796,6 @@ void RpcSpClient::attach_observability(obs::MetricsRegistry* registry,
   probes->trace = trace;
   probes_storage_ = std::move(probes);
   probes_.store(probes_storage_.get(), std::memory_order_release);
-}
-
-RpcEcClient::RpcEcClient(Bus& bus, NodeId node_id, NodeId master_node,
-                         std::vector<NodeId> worker_of_server, std::size_t k, std::size_t n)
-    : master_node_(master_node), worker_of_server_(std::move(worker_of_server)), rs_(k, n) {
-  node_ = std::make_unique<RpcNode>(bus, node_id, "ec-client-" + std::to_string(node_id));
-}
-
-void RpcEcClient::write(FileId id, std::span<const std::uint8_t> data,
-                        const std::vector<std::uint32_t>& servers) {
-  if (servers.size() != rs_.total_shards()) {
-    throw std::invalid_argument("RpcEcClient::write: need exactly n servers");
-  }
-  const auto shards = rs_.encode(data);
-  std::vector<RpcNode::PendingCall> puts;
-  puts.reserve(shards.size());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    BufferWriter w;
-    w.reserve(4 + 4 + 4 + shards[i].bytes.size() + 8);
-    w.u32(id);
-    w.u32(static_cast<std::uint32_t>(i));
-    w.bytes(shards[i].bytes);
-    w.u64(0);  // epoch proposal 0: the master still bumps to current+1
-    puts.push_back(node_->call_tagged(worker_of_server_.at(servers[i]), kPutBlock, w.take(),
-                                      kEcRpcTimeout));
-  }
-  const auto put_deadline = std::chrono::steady_clock::now() + kEcRpcTimeout;
-  for (auto& put : puts) {
-    const auto reply = node_->await(put, put_deadline);
-    if (!reply.ok()) {
-      for (auto& other : puts) node_->forget(other.request_id);
-      throw std::runtime_error("EC PUT failed: " + reply.error_text());
-    }
-  }
-
-  FileMeta meta;
-  meta.size = data.size();
-  meta.file_crc = crc32(data);
-  meta.epoch = 0;
-  meta.servers = servers;
-  meta.piece_sizes.reserve(shards.size());
-  for (const auto& s : shards) meta.piece_sizes.push_back(s.bytes.size());
-
-  BufferWriter w;
-  w.u32(id);
-  write_meta(w, meta);
-  const auto reply = node_->call_sync(master_node_, kRegisterFile, w.take());
-  if (!reply.ok()) throw std::runtime_error("EC REGISTER failed: " + reply.error_text());
-}
-
-std::vector<std::uint8_t> RpcEcClient::read(FileId id, Rng& rng) {
-  BufferWriter lookup;
-  lookup.u32(id);
-  const auto reply = node_->call_sync(master_node_, kLookupFile, lookup.take());
-  if (!reply.ok()) throw std::runtime_error("EC LOOKUP failed: " + reply.error_text());
-
-  BufferReader r(reply.payload);
-  const FileMeta meta = read_meta(r);
-  const std::uint64_t size = meta.size;
-  const std::uint32_t file_crc = meta.file_crc;
-  const auto n = static_cast<std::uint32_t>(meta.partitions());
-  if (n != rs_.total_shards()) throw std::runtime_error("EC layout mismatch");
-  const auto& servers = meta.servers;
-
-  // Late binding: fan out k+1 GETs; decode from the first k that return.
-  const std::size_t fetch_count = std::min(rs_.data_shards() + 1, static_cast<std::size_t>(n));
-  const auto picks = rng.sample_without_replacement(n, fetch_count);
-  std::vector<RpcNode::PendingCall> gets;
-  gets.reserve(fetch_count);
-  for (std::size_t j = 0; j < fetch_count; ++j) {
-    BufferWriter w;
-    w.u32(id);
-    w.u32(static_cast<std::uint32_t>(picks[j]));
-    gets.push_back(node_->call_tagged(worker_of_server_.at(servers[picks[j]]), kGetBlock,
-                                      w.take(), kEcRpcTimeout));
-  }
-  const auto get_deadline = std::chrono::steady_clock::now() + kEcRpcTimeout;
-  // Zero-copy decode: keep the reply payloads alive and hand the decoder
-  // non-owning views into them — shard bytes are never copied into a
-  // working buffer first.
-  std::vector<Reply> replies;
-  std::vector<ShardView> views;
-  replies.reserve(rs_.data_shards());
-  views.reserve(rs_.data_shards());
-  for (std::size_t j = 0; j < fetch_count && views.size() < rs_.data_shards(); ++j) {
-    auto shard_reply = node_->await(gets[j], get_deadline);
-    if (!shard_reply.ok()) continue;  // the late-binding hedge absorbs one loss
-    replies.push_back(std::move(shard_reply));
-    BufferReader pr(replies.back().payload);
-    views.push_back(ShardView{picks[j], pr.bytes_view()});
-  }
-  // The unneeded hedge GET (if any) must not hold a slot forever.
-  for (auto& get : gets) node_->forget(get.request_id);
-  if (views.size() < rs_.data_shards()) {
-    throw std::runtime_error("EC read: not enough shards survived");
-  }
-  std::vector<std::uint8_t> out(size);
-  RsScratch scratch;
-  rs_.decode_into(views, size, out, scratch);
-  if (crc32(out) != file_crc) throw std::runtime_error("EC read: checksum mismatch");
-  return out;
 }
 
 std::uint64_t RpcSpClient::access_count(FileId id) {

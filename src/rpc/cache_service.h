@@ -10,6 +10,7 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -23,7 +24,6 @@
 #include "cluster/layout_cache.h"
 #include "cluster/master.h"
 #include "cluster/stable_store.h"
-#include "erasure/rs_code.h"
 #include "fault/retry.h"
 #include "rpc/bus.h"
 
@@ -117,9 +117,10 @@ class CacheWorkerService {
 // The SP-Master as a service over the metadata Master (an inline node, like
 // the workers: its handlers never block or call out). It also hosts the
 // deployment's StableStore (the checkpointed tier the paper assumes under
-// the cache): clients kPutStable whole files after a write, and the
-// RpcRecoveryCoordinator restores lost pieces from it after a worker
-// death — so degraded reads stay bit-exact without cache-level replicas.
+// the cache): clients kPutStable whole files after a write, and
+// spcache_masterd's RecoveryManager restores lost pieces from it after a
+// worker death — so repaired reads stay bit-exact without cache-level
+// replicas.
 class MasterService {
  public:
   MasterService(Bus& bus, NodeId node_id = kMasterNode);
@@ -133,6 +134,13 @@ class MasterService {
   StableStore stable_;
   std::unique_ptr<RpcNode> node_;
 };
+
+// RecoveryManager's cache-tier seam over RPC: a replacement piece travels
+// from `node` to worker_of_server[server] as a kPutBlock stamped with the
+// repair's epoch, and is waited for at most 1 s. Liveness is the caller's
+// verdict (spcache_masterd: its HealthMonitor's last heartbeat).
+RepairPeers rpc_repair_peers(RpcNode& node, std::vector<NodeId> worker_of_server,
+                             std::function<bool(std::uint32_t server)> alive);
 
 // What an RPC read went through to complete (degraded-read telemetry).
 struct RpcReadStats {
@@ -281,28 +289,6 @@ class RpcSpClient {
   std::unordered_map<FileId, std::shared_ptr<Inflight>> inflight_;
   std::unique_ptr<ObsProbes> probes_storage_;
   std::atomic<ObsProbes*> probes_{nullptr};
-};
-
-// An EC-Cache client over the same wire: writes run the real Reed-Solomon
-// encoder and PUT all n shards; reads LOOKUP, late-bind k+1 GETs, and
-// decode from the first k that complete.
-class RpcEcClient {
- public:
-  RpcEcClient(Bus& bus, NodeId node_id, NodeId master_node,
-              std::vector<NodeId> worker_of_server, std::size_t k = 10, std::size_t n = 14);
-
-  // Encode into n shards and store them on the n listed (distinct) servers.
-  void write(FileId id, std::span<const std::uint8_t> data,
-             const std::vector<std::uint32_t>& servers);
-
-  // Late-binding read + decode + whole-file CRC verification.
-  std::vector<std::uint8_t> read(FileId id, Rng& rng);
-
- private:
-  std::unique_ptr<RpcNode> node_;
-  NodeId master_node_;
-  std::vector<NodeId> worker_of_server_;
-  ReedSolomon rs_;
 };
 
 }  // namespace spcache::rpc

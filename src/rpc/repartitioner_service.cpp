@@ -1,141 +1,42 @@
 #include "rpc/repartitioner_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
-
-#include "common/crc32.h"
-#include "erasure/rs_code.h"
 
 namespace spcache::rpc {
 
 namespace {
 
-// Bound on every call a repartition makes, the call_sync default: the
-// fanned-out GET and PUT phases each join against one deadline this far
-// out, so a lost reply fails the file instead of parking the service
-// thread and every kRepartitionFile queued behind it.
+// Bound on every call a repartition handler makes (the call_sync
+// default), so a lost reply fails the file instead of parking the service
+// thread and every request queued behind it.
 constexpr std::chrono::milliseconds kCallTimeout{5000};
+
+// Most calls one kDeltaRepartitionFile handler makes for a file re-cut
+// from k_old to k_new pieces: the LOOKUP; a kGetRange and a kStagePiece
+// per range of the transfer plan (at most k_old + k_new - 1 ranges); a
+// finalize and a publish per new piece; the epoch check and REGISTER; then
+// a GC erase per old piece or, on the abort path, a discard per new piece.
+std::size_t delta_handler_max_calls(std::size_t k_old, std::size_t k_new) {
+  return 1 + 2 * (k_old + k_new - 1) + 2 * k_new + 2 + std::max(k_old, k_new);
+}
 
 }  // namespace
 
 RepartitionerService::RepartitionerService(Bus& bus, NodeId node_id, std::uint32_t server_id,
                                            NodeId master_node,
                                            std::vector<NodeId> worker_of_server)
-    : server_id_(server_id),
-      master_node_(master_node),
+    : master_node_(master_node),
       worker_of_server_(std::move(worker_of_server)) {
-  // A mailbox node: the handlers call out (GET/PUT/REGISTER through the
-  // same node) and block on the replies, which resolve on the thread that
-  // delivers them, not on this node's service thread.
+  // A mailbox node: the handler calls out (LOOKUP, GET_RANGE, STAGE,
+  // REGISTER through the same node) and blocks on the replies, which
+  // resolve on the thread that delivers them, not on this node's service
+  // thread.
   node_ = std::make_unique<RpcNode>(bus, node_id, "repartitioner-" + std::to_string(server_id));
-  node_->handle(kRepartitionFile, [this](BufferReader& r) { return handle_repartition(r); });
   node_->handle(kDeltaRepartitionFile,
                 [this](BufferReader& r) { return handle_delta_repartition(r); });
   node_->start();
-}
-
-std::vector<std::uint8_t> RepartitionerService::handle_repartition(BufferReader& r) {
-  const auto file = static_cast<FileId>(r.u32());
-  const std::uint32_t old_n = r.u32();
-  std::vector<std::uint32_t> old_servers(old_n);
-  for (auto& s : old_servers) s = r.u32();
-  const std::uint32_t new_n = r.u32();
-  std::vector<std::uint32_t> new_servers(new_n);
-  for (auto& s : new_servers) s = r.u32();
-
-  Bytes moved = 0;
-
-  // Propose the next layout generation up front: the re-placed pieces are
-  // PUT under it, so a caching client that multi-GETs with the *old*
-  // layout's epoch is told kWrongEpoch instead of being served a torn mix
-  // of generations.
-  std::uint64_t current_epoch = 0;
-  {
-    BufferWriter w;
-    w.u32(file);
-    const auto reply = node_->call_sync(master_node_, kFileEpoch, w.take());
-    if (reply.ok()) {
-      BufferReader er(reply.payload);
-      current_epoch = er.u64();
-    }
-  }
-  const std::uint64_t proposed = current_epoch + 1;
-
-  // Assemble: GET every old piece; pieces already on this executor's
-  // co-located worker are free (Fig. 9b's locality optimization).
-  std::vector<RpcNode::PendingCall> gets;
-  gets.reserve(old_n);
-  for (std::uint32_t i = 0; i < old_n; ++i) {
-    BufferWriter w;
-    w.u32(file);
-    w.u32(i);
-    gets.push_back(node_->call_tagged(worker_of_server_.at(old_servers[i]), kGetBlock,
-                                      w.take(), kCallTimeout));
-  }
-  std::vector<std::uint8_t> data;
-  const auto get_deadline = std::chrono::steady_clock::now() + kCallTimeout;
-  for (std::uint32_t i = 0; i < old_n; ++i) {
-    const auto reply = node_->await(gets[i], get_deadline);
-    if (!reply.ok()) {
-      for (auto& other : gets) node_->forget(other.request_id);
-      throw std::runtime_error("repartition GET failed: " + reply.error_text());
-    }
-    BufferReader pr(reply.payload);
-    const auto piece = pr.bytes();
-    if (old_servers[i] != server_id_) moved += piece.size();
-    data.insert(data.end(), piece.begin(), piece.end());
-  }
-
-  // Drop the old layout.
-  for (std::uint32_t i = 0; i < old_n; ++i) {
-    BufferWriter w;
-    w.u32(file);
-    w.u32(i);
-    const auto reply =
-        node_->call_sync(worker_of_server_.at(old_servers[i]), kEraseBlock, w.take());
-    if (!reply.ok()) throw std::runtime_error("repartition ERASE failed");
-  }
-
-  // Re-split and scatter.
-  const auto pieces = split_plain(data, new_n);
-  std::vector<RpcNode::PendingCall> puts;
-  puts.reserve(new_n);
-  for (std::uint32_t i = 0; i < new_n; ++i) {
-    BufferWriter w;
-    w.u32(file);
-    w.u32(i);
-    w.bytes(pieces[i]);
-    w.u64(proposed);
-    if (new_servers[i] != server_id_) moved += pieces[i].size();
-    puts.push_back(node_->call_tagged(worker_of_server_.at(new_servers[i]), kPutBlock,
-                                      w.take(), kCallTimeout));
-  }
-  const auto put_deadline = std::chrono::steady_clock::now() + kCallTimeout;
-  for (auto& put : puts) {
-    const auto reply = node_->await(put, put_deadline);
-    if (!reply.ok()) {
-      for (auto& other : puts) node_->forget(other.request_id);
-      throw std::runtime_error("repartition PUT failed: " + reply.error_text());
-    }
-  }
-
-  // Publish the new layout.
-  BufferWriter reg;
-  reg.u32(file);
-  reg.u64(data.size());
-  reg.u32(crc32(data));
-  reg.u64(proposed);
-  reg.u32(new_n);
-  for (std::uint32_t i = 0; i < new_n; ++i) {
-    reg.u32(new_servers[i]);
-    reg.u64(pieces[i].size());
-  }
-  const auto reply = node_->call_sync(master_node_, kRegisterFile, reg.take());
-  if (!reply.ok()) throw std::runtime_error("repartition REGISTER failed");
-
-  BufferWriter out;
-  out.u64(moved);
-  return out.take();
 }
 
 std::vector<std::uint8_t> RepartitionerService::handle_delta_repartition(BufferReader& r) {
@@ -298,56 +199,40 @@ std::vector<std::uint8_t> RepartitionerService::handle_delta_repartition(BufferR
   return out.take();
 }
 
-RpcRepartitionStats rpc_execute_repartition(
-    RpcNode& coordinator, const RepartitionPlan& plan,
-    const std::vector<std::vector<std::uint32_t>>& old_servers,
-    const std::vector<NodeId>& repartitioner_of_server) {
-  std::vector<std::future<Reply>> futures;
-  futures.reserve(plan.changed_files.size());
-  for (std::size_t j = 0; j < plan.changed_files.size(); ++j) {
-    const FileId file = plan.changed_files[j];
-    BufferWriter w;
-    w.u32(file);
-    const auto& old = old_servers[file];
-    w.u32(static_cast<std::uint32_t>(old.size()));
-    for (auto s : old) w.u32(s);
-    const auto& fresh = plan.new_servers[j];
-    w.u32(static_cast<std::uint32_t>(fresh.size()));
-    for (auto s : fresh) w.u32(s);
-    futures.push_back(coordinator.call(repartitioner_of_server.at(plan.executor[j]),
-                                       kRepartitionFile, w.take()));
-  }
-  RpcRepartitionStats stats;
-  for (auto& f : futures) {
-    const auto reply = f.get();
-    if (!reply.ok()) {
-      throw std::runtime_error("rpc repartition failed: " + reply.error_text());
-    }
-    BufferReader r(reply.payload);
-    stats.bytes_moved += r.u64();
-    ++stats.files_touched;
-  }
-  return stats;
-}
-
 RpcRepartitionStats rpc_execute_delta_repartition(
     RpcNode& coordinator, const RepartitionPlan& plan,
     const std::vector<NodeId>& repartitioner_of_server) {
-  std::vector<std::future<Reply>> futures;
-  futures.reserve(plan.changed_files.size());
+  // An executor serves its requests one at a time, so the join allows the
+  // busiest executor its whole queue: the sum of its files' handler call
+  // bounds. The coordinator does not know a file's current piece count;
+  // placement caps it at the server count.
+  const std::size_t n_servers = repartitioner_of_server.size();
+  std::vector<std::size_t> queued_calls(n_servers, 0);
+  for (std::size_t j = 0; j < plan.changed_files.size(); ++j) {
+    queued_calls.at(plan.executor[j]) +=
+        delta_handler_max_calls(n_servers, plan.new_servers[j].size());
+  }
+  const std::size_t busiest =
+      queued_calls.empty() ? 0 : *std::max_element(queued_calls.begin(), queued_calls.end());
+  const auto budget = kCallTimeout * static_cast<std::int64_t>(busiest);
+
+  std::vector<RpcNode::PendingCall> calls;
+  calls.reserve(plan.changed_files.size());
   for (std::size_t j = 0; j < plan.changed_files.size(); ++j) {
     BufferWriter w;
     w.u32(plan.changed_files[j]);
     const auto& fresh = plan.new_servers[j];
     w.u32(static_cast<std::uint32_t>(fresh.size()));
     for (auto s : fresh) w.u32(s);
-    futures.push_back(coordinator.call(repartitioner_of_server.at(plan.executor[j]),
-                                       kDeltaRepartitionFile, w.take()));
+    calls.push_back(coordinator.call_tagged(repartitioner_of_server.at(plan.executor[j]),
+                                            kDeltaRepartitionFile, w.take(), budget));
   }
+  const auto deadline = std::chrono::steady_clock::now() + budget;
   RpcRepartitionStats stats;
-  for (auto& f : futures) {
-    const auto reply = f.get();
+  for (auto& call : calls) {
+    const auto reply = coordinator.await(call, deadline);
     if (!reply.ok()) {
+      for (auto& other : calls) coordinator.forget(other.request_id);
       throw std::runtime_error("rpc delta repartition failed: " + reply.error_text());
     }
     BufferReader r(reply.payload);

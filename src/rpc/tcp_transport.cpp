@@ -137,9 +137,9 @@ SendStatus TcpTransport::send(Envelope envelope) {
   }
   if (!loop_started_) return SendStatus::kNoRoute;
   // shared_ptr keeps the (possibly multi-megabyte) payload from being
-  // copied by std::function's copyable-closure requirement — and, on the
-  // batched write path, the same box then keeps the payload alive by
-  // reference while it sits in the connection's frame queue.
+  // copied by std::function's copyable-closure requirement — and the same
+  // box then keeps the payload alive by reference while it sits in the
+  // connection's frame queue.
   auto boxed = std::make_shared<Envelope>(std::move(envelope));
   if (loop_.on_loop_thread()) {
     // A send made on the loop thread (an inline handler's reply) goes
@@ -149,30 +149,19 @@ SendStatus TcpTransport::send(Envelope envelope) {
     if (fd >= 0) touch(fd);
     return SendStatus::kAccepted;
   }
-  if (config_.batch_writes) {
-    // Stage the envelope and wake the loop only if no sweep is already
-    // pending: a burst of sends (e.g. requests fanned out by callers, or
-    // replies from a mailbox node's service thread) rides a single eventfd
-    // wake and drains in one sweep, which flushes each touched connection
-    // exactly once.
-    bool need_post = false;
-    {
-      std::lock_guard lock(stage_mu_);
-      staged_.push_back(std::move(boxed));
-      need_post = !stage_sweep_pending_;
-      stage_sweep_pending_ = true;
-    }
-    if (need_post) loop_.post([this] { drain_staged(); });
-  } else {
-    // Pre-batching behavior: one loop wake and one write per send.
-    loop_.post([this, boxed] {
-      const int fd = enqueue_on_loop(boxed);
-      if (fd >= 0) {
-        const auto it = conns_.find(fd);
-        if (it != conns_.end()) flush_conn(*it->second);
-      }
-    });
+  // Stage the envelope and wake the loop only if no sweep is already
+  // pending: a burst of sends (e.g. requests fanned out by callers, or
+  // replies from a mailbox node's service thread) rides a single eventfd
+  // wake and drains in one sweep, which flushes each touched connection
+  // exactly once.
+  bool need_post = false;
+  {
+    std::lock_guard lock(stage_mu_);
+    staged_.push_back(std::move(boxed));
+    need_post = !stage_sweep_pending_;
+    stage_sweep_pending_ = true;
   }
+  if (need_post) loop_.post([this] { drain_staged(); });
   return SendStatus::kAccepted;
 }
 
@@ -237,18 +226,10 @@ int TcpTransport::enqueue_on_loop(std::shared_ptr<Envelope> boxed) {
   OutFrame frame;
   frame.header = encode_frame_header(envelope, envelope.payload.size());
   if (!envelope.payload.empty()) {
-    if (config_.batch_writes) {
-      // Aliasing ctor: the frame shares ownership of the envelope box but
-      // points at its payload — the bytes serialized in the handler are
-      // the very bytes the socket writes; no copy on this whole path.
-      frame.payload =
-          std::shared_ptr<const std::vector<std::uint8_t>>(boxed, &envelope.payload);
-    } else {
-      // Baseline arm: reproduce the pre-batching cost of copying every
-      // payload into the connection's output buffer.
-      frame.payload =
-          std::make_shared<const std::vector<std::uint8_t>>(envelope.payload);
-    }
+    // Aliasing ctor: the frame shares ownership of the envelope box but
+    // points at its payload — the bytes serialized in the handler are the
+    // very bytes the socket writes; no copy on this whole path.
+    frame.payload = std::shared_ptr<const std::vector<std::uint8_t>>(boxed, &envelope.payload);
   }
   conn->out_bytes += frame.size();
   conn->outq.push_back(std::move(frame));
@@ -482,11 +463,9 @@ void TcpTransport::flush_conn(Conn& conn) {
   while (conn.out_bytes > 0) {
     iovec iov[kMaxIovPerWritev];
     std::size_t iovcnt = 0;
-    std::size_t batched = 0;
     std::size_t skip = conn.out_offset;
     for (const OutFrame& frame : conn.outq) {
       if (iovcnt + 2 > kMaxIovPerWritev) break;
-      if (!config_.batch_writes && batched == 1) break;  // baseline: 1 frame/syscall
       if (skip < kFrameHeaderSize) {
         iov[iovcnt].iov_base =
             const_cast<std::uint8_t*>(frame.header.data()) + skip;
@@ -506,7 +485,6 @@ void TcpTransport::flush_conn(Conn& conn) {
       } else {
         skip -= payload_len;
       }
-      ++batched;
     }
     if (iovcnt == 0) break;
     if (write_clamp != 0) {

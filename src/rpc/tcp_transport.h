@@ -115,12 +115,6 @@ struct TcpTransportConfig {
   // failures to a peer (0 disables), for `breaker_open` per arming.
   std::uint32_t breaker_threshold = 5;
   std::chrono::milliseconds breaker_open{250};
-  // Scatter-gather write batching (the default): queued frames keep their
-  // payload by reference and drain many-per-syscall through writev. Off,
-  // the transport reproduces the pre-batching write path — each send pays
-  // a flat-buffer payload copy and each syscall carries at most one frame
-  // — kept as the measurable baseline arm for bench_tcp_scale.
-  bool batch_writes = true;
   // Graceful-shutdown drain budget: shutdown() retries flush passes until
   // every connection's queue empties or this deadline expires, so final
   // replies under load are not silently dropped by a single-pass flush.

@@ -91,7 +91,7 @@ TEST(ForkJoin, TwoBranchExponentialClosedForm) {
   //   m1 + m2 - 1/(1/m1 + 1/m2).
   // The split-merge bound must dominate it but stay within ~40% for this
   // benign case (its known looseness at small fan-out).
-  for (const auto [m1, m2] : {std::pair{1.0, 1.0}, std::pair{1.0, 3.0}, std::pair{0.2, 2.0}}) {
+  for (const auto& [m1, m2] : {std::pair{1.0, 1.0}, std::pair{1.0, 3.0}, std::pair{0.2, 2.0}}) {
     const double exact = m1 + m2 - 1.0 / (1.0 / m1 + 1.0 / m2);
     const double bound =
         fork_join_upper_bound({{m1, m1 * m1}, {m2, m2 * m2}});

@@ -103,7 +103,9 @@ TEST(PartitionProperties, MonotoneInFileSize) {
     const auto k1 = partition_counts_for_alpha(Catalog(files), alpha, kN);
     EXPECT_GE(k1[grown], k0[grown]);
     for (std::size_t i = 0; i < k0.size(); ++i) {
-      if (i != grown) EXPECT_EQ(k1[i], k0[i]) << "file " << i << " moved when " << grown << " grew";
+      if (i != grown) {
+        EXPECT_EQ(k1[i], k0[i]) << "file " << i << " moved when " << grown << " grew";
+      }
     }
   }
 }
@@ -122,7 +124,9 @@ TEST(PartitionProperties, MonotoneInPopularity) {
     const auto k1 = partition_counts_for_alpha(Catalog(files), alpha, kN);
     EXPECT_GE(k1[boosted], k0[boosted]);
     for (std::size_t i = 0; i < k0.size(); ++i) {
-      if (i != boosted) EXPECT_LE(k1[i], k0[i]);
+      if (i != boosted) {
+        EXPECT_LE(k1[i], k0[i]);
+      }
     }
   }
 }

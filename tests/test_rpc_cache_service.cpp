@@ -136,39 +136,6 @@ TEST_F(RpcClusterTest, ManyClientsConcurrently) {
 }
 
 
-TEST_F(RpcClusterTest, EcClientRoundtripOverRpc) {
-  RpcEcClient ec(bus_, kFirstClientNode + 50, kMasterNode, worker_nodes_, 4, 8);
-  const auto data = random_bytes(200 * kKB + 3, rng_);
-  std::vector<std::uint32_t> servers;
-  for (std::uint32_t s = 0; s < 8; ++s) servers.push_back(s);
-  ec.write(60, data, servers);
-  Rng rng(60);
-  for (int trial = 0; trial < 12; ++trial) {
-    EXPECT_EQ(ec.read(60, rng), data);
-  }
-}
-
-TEST_F(RpcClusterTest, EcClientSurvivesOneLostShard) {
-  RpcEcClient ec(bus_, kFirstClientNode + 51, kMasterNode, worker_nodes_, 4, 8);
-  const auto data = random_bytes(80 * kKB, rng_);
-  std::vector<std::uint32_t> servers;
-  for (std::uint32_t s = 0; s < 8; ++s) servers.push_back(s);
-  ec.write(61, data, servers);
-  // Drop one shard: the k+1 late-binding hedge must still decode whenever
-  // the lost shard is in the fetched set; other draws avoid it entirely.
-  workers_[2]->store().erase(BlockKey{61, 2});
-  Rng rng(61);
-  for (int trial = 0; trial < 12; ++trial) {
-    EXPECT_EQ(ec.read(61, rng), data);
-  }
-}
-
-TEST_F(RpcClusterTest, EcClientValidatesGeometry) {
-  RpcEcClient ec(bus_, kFirstClientNode + 52, kMasterNode, worker_nodes_, 4, 8);
-  const auto data = random_bytes(10 * kKB, rng_);
-  EXPECT_THROW(ec.write(62, data, {0, 1, 2}), std::invalid_argument);
-}
-
 TEST_F(RpcClusterTest, SpCachePlacementOverRpc) {
   // The full Section 6.1 flow: Algorithm 1 placement, RPC writes, RPC reads.
   const auto cat = make_uniform_catalog(20, 64 * kKB, 1.05, 10.0);

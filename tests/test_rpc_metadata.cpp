@@ -109,19 +109,18 @@ TEST_F(RpcMetadataTest, StaleCacheConvergesAfterRpcRepartition) {
   client_->write(3, data, {0, 1, 2});
   EXPECT_EQ(client_->read(3), data);
 
-  // Full Fig. 9b flow: a repartitioner assembles the file, erases the old
-  // pieces, re-splits onto {3, 4}, and registers the new layout.
+  // Fig. 9b flow: a repartitioner migrates the file onto {3, 4} range by
+  // range, registers the new layout, and erases the old pieces.
   RepartitionerService repartitioner(bus_, kFirstRepartitionerNode, 3, kMasterNode,
                                      worker_nodes_);
   RpcNode coordinator(bus_, kFirstClientNode + 7, "coordinator");
   coordinator.start();
   BufferWriter w;
   w.u32(3);
-  w.u32(3);
-  for (std::uint32_t s : {0u, 1u, 2u}) w.u32(s);
   w.u32(2);
   for (std::uint32_t s : {3u, 4u}) w.u32(s);
-  const auto reply = coordinator.call_sync(repartitioner.node_id(), kRepartitionFile, w.take());
+  const auto reply =
+      coordinator.call_sync(repartitioner.node_id(), kDeltaRepartitionFile, w.take());
   ASSERT_TRUE(reply.ok()) << reply.error_text();
 
   // The cached 3-piece layout is gone from the cluster; the read must

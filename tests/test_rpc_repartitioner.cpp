@@ -1,4 +1,5 @@
-// RPC repartitioner tests: the full Fig. 9b flow over messages.
+// RPC repartitioner tests: the full Fig. 9b flow over messages
+// (kDeltaRepartitionFile: kGetRange + kStagePiece relay).
 #include "rpc/repartitioner_service.h"
 
 #include <gtest/gtest.h>
@@ -71,130 +72,6 @@ class RpcRepartitionTest : public ::testing::Test {
   std::vector<std::vector<std::uint8_t>> originals_;
 };
 
-TEST_F(RpcRepartitionTest, ShiftRepartitionPreservesEveryFile) {
-  populate();
-  catalog_.shuffle_popularities(rng_);
-  const auto plan = plan_repartition_with_alpha(
-      catalog_, kWorkers, 6.0 / catalog_.max_load(), old_k_, old_servers_, rng_);
-  ASSERT_GT(plan.changed_files.size(), 0u);
-
-  const auto stats =
-      rpc_execute_repartition(*coordinator_, plan, old_servers_, repartitioner_nodes_);
-  EXPECT_EQ(stats.files_touched, plan.changed_files.size());
-  EXPECT_GT(stats.bytes_moved, 0u);
-
-  for (FileId f = 0; f < kFiles; ++f) {
-    EXPECT_EQ(client_->read(f), originals_[f]) << "file " << f;
-  }
-}
-
-TEST_F(RpcRepartitionTest, LayoutMatchesPlanAfterExecution) {
-  populate();
-  catalog_.shuffle_popularities(rng_);
-  const auto plan = plan_repartition_with_alpha(
-      catalog_, kWorkers, 6.0 / catalog_.max_load(), old_k_, old_servers_, rng_);
-  rpc_execute_repartition(*coordinator_, plan, old_servers_, repartitioner_nodes_);
-  for (std::size_t j = 0; j < plan.changed_files.size(); ++j) {
-    const FileId f = plan.changed_files[j];
-    const auto meta = master_->master().peek(f);
-    ASSERT_TRUE(meta.has_value());
-    EXPECT_EQ(meta->servers, plan.new_servers[j]);
-    // New pieces exist where the plan says.
-    for (std::size_t i = 0; i < meta->servers.size(); ++i) {
-      EXPECT_TRUE(workers_[meta->servers[i]]->store().contains(
-          BlockKey{f, static_cast<PieceIndex>(i)}));
-    }
-  }
-}
-
-TEST_F(RpcRepartitionTest, LocalPiecesAreFree) {
-  populate();
-  // Hand-build a one-file plan executed by a server that already holds a
-  // piece: the assembled local piece and any locally-rewritten piece must
-  // not count as moved bytes.
-  const FileId f = 0;
-  RepartitionPlan plan;
-  plan.new_k = old_k_;
-  plan.new_k[f] = old_k_[f] + 1;
-  plan.changed_files = {f};
-  std::vector<std::uint32_t> fresh;
-  for (std::uint32_t s = 0; s < plan.new_k[f]; ++s) fresh.push_back(s);
-  plan.new_servers = {fresh};
-  plan.executor = {old_servers_[f][0]};
-
-  const auto stats =
-      rpc_execute_repartition(*coordinator_, plan, old_servers_, repartitioner_nodes_);
-  // Strictly less than assembling+scattering everything remotely.
-  EXPECT_LT(stats.bytes_moved, 2 * kFileSize);
-  EXPECT_EQ(client_->read(f), originals_[f]);
-}
-
-TEST_F(RpcRepartitionTest, EmptyPlanIsNoOp) {
-  populate();
-  RepartitionPlan plan;
-  plan.new_k = old_k_;
-  const auto stats =
-      rpc_execute_repartition(*coordinator_, plan, old_servers_, repartitioner_nodes_);
-  EXPECT_EQ(stats.files_touched, 0u);
-  EXPECT_EQ(stats.bytes_moved, 0u);
-}
-
-TEST_F(RpcRepartitionTest, StalledGetFailsWithinBoundAndFreesTheService) {
-  // A worker stand-in that holds every kGetBlock until released, far past
-  // the repartitioner's 5 s bound on its fan-out joins.
-  std::promise<void> release;
-  const std::shared_future<void> released = release.get_future().share();
-  RpcNode stalled_worker(bus_, kFirstWorkerNode + 100, "stalled-worker");
-  stalled_worker.handle(kGetBlock, [released](BufferReader&) {
-    released.wait_for(std::chrono::seconds(20));
-    return std::vector<std::uint8_t>{};
-  });
-  stalled_worker.start();
-  // A repartitioner that reaches server 1 through the stand-in; the client
-  // wrote through the real workers, so every file stays readable.
-  auto routes = worker_nodes_;
-  routes[1] = stalled_worker.id();
-  RepartitionerService repartitioner(bus_, kFirstRepartitionerNode + 100, 0, kMasterNode,
-                                     routes);
-
-  const auto stalled = random_bytes(40 * kKB, rng_);
-  const auto healthy = random_bytes(40 * kKB + 3, rng_);
-  client_->write(0, stalled, {0, 1});
-  client_->write(1, healthy, {0, 2});
-  const auto request = [](FileId file, const std::vector<std::uint32_t>& old_servers,
-                          const std::vector<std::uint32_t>& new_servers) {
-    BufferWriter w;
-    w.u32(file);
-    w.u32(static_cast<std::uint32_t>(old_servers.size()));
-    for (const auto s : old_servers) w.u32(s);
-    w.u32(static_cast<std::uint32_t>(new_servers.size()));
-    for (const auto s : new_servers) w.u32(s);
-    return w.take();
-  };
-
-  const auto start = std::chrono::steady_clock::now();
-  const auto failed = coordinator_->call_sync(repartitioner.node_id(), kRepartitionFile,
-                                              request(0, {0, 1}, {2, 3}),
-                                              std::chrono::seconds(15));
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_FALSE(failed.ok());
-  EXPECT_NE(failed.error_text().find("repartition GET failed"), std::string::npos)
-      << failed.error_text();
-  EXPECT_LT(elapsed, std::chrono::seconds(5) + std::chrono::seconds(3));
-
-  // The stand-in still holds its GET, yet the service thread is free: a
-  // repartition that avoids server 1 goes through.
-  const auto moved = coordinator_->call_sync(repartitioner.node_id(), kRepartitionFile,
-                                             request(1, {0, 2}, {2, 3}),
-                                             std::chrono::seconds(15));
-  EXPECT_TRUE(moved.ok()) << moved.error_text();
-  release.set_value();
-  EXPECT_EQ(client_->read(1), healthy);
-  EXPECT_EQ(client_->read(0), stalled);  // the failed attempt erased nothing
-}
-
-// --- Delta flow (kDeltaRepartitionFile: kGetRange + kStagePiece relay) ---
-
 TEST_F(RpcRepartitionTest, DeltaRepartitionPreservesEveryFile) {
   populate();
   catalog_.shuffle_popularities(rng_);
@@ -263,6 +140,119 @@ TEST_F(RpcRepartitionTest, DeltaReusedPlacementShipsOnlyBoundaryRanges) {
   EXPECT_GT(stats.bytes_saved, 0u);
   EXPECT_LT(stats.bytes_moved, kFileSize);
   EXPECT_EQ(client_->read(f), originals_[f]);
+}
+
+TEST_F(RpcRepartitionTest, LocalRangesAreFree) {
+  populate();
+  // Grow file 0 by one piece, keeping new piece 0 on the server that holds
+  // old piece 0: that range is staged in place, so it counts as saved, not
+  // moved — exactly the transfer plan's accounting.
+  const FileId f = 0;
+  RepartitionPlan plan;
+  plan.new_k = old_k_;
+  plan.new_k[f] = old_k_[f] + 1;
+  plan.changed_files = {f};
+  std::vector<std::uint32_t> fresh = {old_servers_[f][0]};
+  for (std::uint32_t s = 0; fresh.size() < plan.new_k[f]; ++s) {
+    if (s != old_servers_[f][0]) fresh.push_back(s);
+  }
+  plan.new_servers = {fresh};
+  plan.executor = {old_servers_[f][0]};
+  const auto old_sizes = master_->master().peek(f)->piece_sizes;
+  const auto ranges = plan_range_transfer(kFileSize, old_sizes, old_servers_[f], fresh);
+  ASSERT_GT(ranges.bytes_saved, 0u);
+
+  const auto stats = rpc_execute_delta_repartition(*coordinator_, plan, repartitioner_nodes_);
+  EXPECT_EQ(stats.bytes_moved, ranges.bytes_moved);
+  EXPECT_EQ(stats.bytes_saved, ranges.bytes_saved);
+  EXPECT_EQ(client_->read(f), originals_[f]);
+}
+
+TEST_F(RpcRepartitionTest, EmptyPlanIsNoOp) {
+  populate();
+  RepartitionPlan plan;
+  plan.new_k = old_k_;
+  const auto stats = rpc_execute_delta_repartition(*coordinator_, plan, repartitioner_nodes_);
+  EXPECT_EQ(stats.files_touched, 0u);
+  EXPECT_EQ(stats.bytes_moved, 0u);
+  EXPECT_EQ(stats.bytes_saved, 0u);
+}
+
+TEST_F(RpcRepartitionTest, StalledGetRangeFailsWithinBoundAndFreesTheService) {
+  // A worker stand-in that holds every kGetRange until released, far past
+  // the handler's 5 s bound on each call.
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  RpcNode stalled_worker(bus_, kFirstWorkerNode + 100, "stalled-worker");
+  stalled_worker.handle(kGetRange, [released](BufferReader&) {
+    released.wait_for(std::chrono::seconds(20));
+    return std::vector<std::uint8_t>{};
+  });
+  stalled_worker.start();
+  // A repartitioner that reaches server 1 through the stand-in; the client
+  // wrote through the real workers, so every file stays readable.
+  auto routes = worker_nodes_;
+  routes[1] = stalled_worker.id();
+  RepartitionerService repartitioner(bus_, kFirstRepartitionerNode + 100, 0, kMasterNode,
+                                     routes);
+
+  const auto stalled = random_bytes(40 * kKB, rng_);
+  const auto healthy = random_bytes(40 * kKB + 3, rng_);
+  client_->write(0, stalled, {0, 1});
+  client_->write(1, healthy, {0, 2});
+  const auto stalled_layout = master_->master().peek(0);
+  const auto request = [](FileId file, const std::vector<std::uint32_t>& new_servers) {
+    BufferWriter w;
+    w.u32(file);
+    w.u32(static_cast<std::uint32_t>(new_servers.size()));
+    for (const auto s : new_servers) w.u32(s);
+    return w.take();
+  };
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto failed = coordinator_->call_sync(repartitioner.node_id(), kDeltaRepartitionFile,
+                                              request(0, {2, 3}), std::chrono::seconds(15));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(failed.ok());
+  EXPECT_NE(failed.error_text().find("GET_RANGE failed"), std::string::npos)
+      << failed.error_text();
+  EXPECT_LT(elapsed, std::chrono::seconds(5) + std::chrono::seconds(3));
+
+  // The stand-in still holds its kGetRange, yet the service thread is
+  // free: a repartition that avoids server 1 goes through.
+  const auto moved = coordinator_->call_sync(repartitioner.node_id(), kDeltaRepartitionFile,
+                                             request(1, {2, 3}), std::chrono::seconds(15));
+  EXPECT_TRUE(moved.ok()) << moved.error_text();
+  release.set_value();
+  EXPECT_EQ(client_->read(1), healthy);
+  // The failed attempt published nothing and left nothing staged.
+  const auto after = master_->master().peek(0);
+  EXPECT_EQ(after->servers, stalled_layout->servers);
+  EXPECT_EQ(after->epoch, stalled_layout->epoch);
+  EXPECT_EQ(client_->read(0), stalled);
+  for (const auto& w : workers_) EXPECT_EQ(w->store().staged_count(), 0u);
+}
+
+TEST_F(RpcRepartitionTest, CoordinatorGivesUpOnASilentExecutor) {
+  // An executor that accepts kDeltaRepartitionFile and never answers: a
+  // node that is never started keeps every request in its mailbox.
+  RpcNode silent(bus_, kFirstRepartitionerNode + 100, "silent-repartitioner");
+  silent.handle(kDeltaRepartitionFile, [](BufferReader&) { return std::vector<std::uint8_t>{}; });
+  RepartitionPlan plan;
+  plan.changed_files = {0};
+  plan.new_servers = {{0}};
+  plan.executor = {0};
+  // One server, one file re-cut into one piece: the handler makes at most
+  // 1 + 2*1 + 4*1 + 1 = 8 calls of at most 5 s each.
+  const auto bound = std::chrono::seconds(8 * 5);
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(rpc_execute_delta_repartition(*coordinator_, plan, {silent.id()}),
+               std::runtime_error);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, bound - std::chrono::milliseconds(50));
+  EXPECT_LT(elapsed, bound + std::chrono::seconds(3));
+  EXPECT_EQ(coordinator_->pending_calls(), 0u) << "the abandoned call leaked its slot";
 }
 
 }  // namespace

@@ -553,55 +553,6 @@ TEST(TcpTransport, WritevCountersTrackFramesExactly) {
   EXPECT_GT(server.bytes_per_syscall, 0.0);
 }
 
-// The --legacy-write-path arm (batch_writes=false) must reproduce the
-// pre-batching wire behavior: bit-exact payloads, and never more than one
-// frame per writev — that invariant is what makes it an honest baseline.
-TEST(TcpTransport, LegacyWritePathStaysBitExactOneFramePerWritev) {
-  TcpTransportConfig legacy;
-  legacy.batch_writes = false;
-
-  TcpTransport server_tcp(legacy);
-  const std::uint16_t port = server_tcp.listen("127.0.0.1", 0);
-  Bus server_bus(server_tcp);
-  RpcNode echo(server_bus, 1, "echo");
-  echo.handle(kEcho, [](BufferReader& r) {
-    const auto body = r.bytes();
-    BufferWriter w;
-    w.bytes(body);
-    return w.take();
-  });
-  echo.start();
-
-  TcpTransport client_tcp(legacy);
-  client_tcp.start();
-  client_tcp.add_peer(1, "127.0.0.1", port);
-  Bus client_bus(client_tcp);
-  RpcNode caller(client_bus, kFirstClientNode, "caller");
-  caller.start();
-
-  std::vector<std::thread> callers;
-  std::vector<Reply> replies(8);
-  for (std::size_t i = 0; i < replies.size(); ++i) {
-    callers.emplace_back([&, i] {
-      BufferWriter w;
-      w.bytes(pattern_payload(256 + i, static_cast<std::uint8_t>(i)));
-      replies[i] = caller.call_sync(1, kEcho, w.take(), 5000ms);
-    });
-  }
-  for (auto& t : callers) t.join();
-  for (std::size_t i = 0; i < replies.size(); ++i) {
-    ASSERT_TRUE(replies[i].ok()) << replies[i].error_text();
-    BufferReader r(replies[i].payload);
-    EXPECT_EQ(r.bytes(), pattern_payload(256 + i, static_cast<std::uint8_t>(i)));
-  }
-  const auto server = server_tcp.counters();
-  EXPECT_EQ(server.frames_sent, replies.size());
-  EXPECT_GT(server.writev_calls, 0u);
-  EXPECT_LE(server.frames_per_writev, 1.0);
-  EXPECT_EQ(server.framing_errors, 0u);
-  EXPECT_EQ(client_tcp.counters().framing_errors, 0u);
-}
-
 // Replies resolve on the thread that delivers them, so a node that only
 // makes calls needs no start() — and starts no service thread.
 TEST(TcpTransport, ClientNodeWithoutStartReceivesReplies) {

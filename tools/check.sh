@@ -34,9 +34,20 @@ CHAOS_FILTER='test_fault_injector|test_cluster_degraded_read|test_cluster_chaos'
 # (`ctest -L property` runs just the latter).
 
 if [[ "$QUICK" -eq 0 ]]; then
-  echo "==> tier-1: release build + full test suite"
+  echo "==> tier-1: release build (warning-free) + full test suite"
+  # --clean-first recompiles every translation unit, so the log shows every
+  # warning the tree has, not just those of files changed since the last
+  # build; any `warning:` fails the stage.
   cmake --preset default
-  cmake --build --preset default -j "$(nproc)"
+  TIER1_LOG="$(mktemp)"
+  cmake --build --preset default -j "$(nproc)" --clean-first 2>&1 | tee "$TIER1_LOG"
+  if grep -q 'warning:' "$TIER1_LOG"; then
+    echo "tier-1 stage: the build printed compiler warnings" >&2
+    grep 'warning:' "$TIER1_LOG" >&2
+    rm -f "$TIER1_LOG"
+    exit 1
+  fi
+  rm -f "$TIER1_LOG"
   ctest --preset default -j "$(nproc)"
 
   echo "==> kernels: cross-ISA equivalence (-L kernels) once per SPCACHE_SIMD level"
@@ -199,11 +210,14 @@ if [[ "$QUICK" -eq 0 ]]; then
   # dataset through seeded socket chaos (partial writes splitting frames
   # across segments, loop-thread delays) — bit-exact or the stage fails.
   # Phase 2 re-reads the same dataset (regenerated from the seed via
-  # --read-only) while one spcache_serverd is kill -9'd mid-run: the
-  # masterd's health monitor must detect the death over TCP (missed kPing
-  # beats), restore the lost pieces from its stable tier onto the survivor
-  # via kPutBlock, and publish the repaired layout — every read still
-  # bit-exact, and the master's exit line must report a completed repair.
+  # --read-only) while one spcache_serverd is kill -9'd: the masterd's
+  # health monitor must detect the death over TCP (missed kPing beats),
+  # restore the lost pieces from its stable tier onto the survivor via
+  # kPutBlock (co-located: every 2-piece file already has a piece there),
+  # and publish the repaired layout. Phase 3 waits for the master's
+  # "repaired server" line and re-reads all 16 files from the survivor
+  # alone — every read bit-exact, and the master's exit line must report
+  # the detection and a completed repair.
   CHAOS_DIR="$(mktemp -d)"
   CHAOS_PIDS=()
   cleanup_chaos() {
@@ -264,6 +278,20 @@ if [[ "$QUICK" -eq 0 ]]; then
   kill -9 "${SERVERD2_PID:-${SERVER_PIDS[1]}}" 2>/dev/null || true
   wait "$CLI2_PID"
   grep -q 'mismatches=0 ' "$CHAOS_DIR/cli2.log"
+  # Phase 3: wait (bounded) for the repair, then read every file again.
+  for _ in $(seq 100); do
+    grep -q 'spcache_masterd repaired server' "$CHAOS_DIR/master.log" && break
+    sleep 0.1
+  done
+  grep -q 'spcache_masterd repaired server' "$CHAOS_DIR/master.log" || {
+    echo "chaos-tcp stage: no repair completed within 10 s of the kill" >&2
+    cat "$CHAOS_DIR/master.log" >&2
+    exit 1
+  }
+  timeout -k 5 120 ./build/tools/spcache_cli --rpc --master "$CHAOS_MASTER" \
+      --workers "$CHAOS_WORKERS" --files 16 --requests 16 --seed 11 \
+      --read-only | tee "$CHAOS_DIR/cli3.log"
+  grep -q 'mismatches=0 ' "$CHAOS_DIR/cli3.log"
   # The master must have detected the kill and completed an RPC repair.
   kill -TERM "$MASTERD_PID" 2>/dev/null || true
   wait "$MASTERD_PID" 2>/dev/null || true
@@ -284,12 +312,11 @@ if [[ "$QUICK" -eq 0 ]]; then
   timeout -k 5 120 ./build/tests/test_rpc_tcp \
       --gtest_filter='TcpTransport.SlowReaderHitsWatermarkAndFailsFast'
 
-  echo "==> tcp-scale: syscall-lean write path vs the pre-change baseline"
-  # bench_tcp_scale boots both arms' daemon clusters (batched and
-  # --legacy-write-path), interleaves timed multi-client read reps, then
-  # runs an untimed pass with partial-write chaos armed on both sides. The
-  # binary itself exits non-zero unless every read (chaos included) was
-  # bit-exact, no side saw a framing error, and the batched servers
+  echo "==> tcp-scale: syscall-lean write path on real daemons"
+  # bench_tcp_scale boots a daemon cluster, runs timed multi-client read
+  # reps, then an untimed pass with partial-write chaos armed on both
+  # sides. The binary itself exits non-zero unless every read (chaos
+  # included) was bit-exact, no side saw a framing error, and the servers
   # actually gathered (frames_per_writev > 1); the greps below pin those
   # gates in the log so a silently weakened binary can't pass the stage.
   TCP_SCALE_LOG="$(mktemp)"

@@ -12,14 +12,19 @@
 // With --workers the daemon also runs the deployment's health monitor: a
 // monitor RpcNode (node 900) sends a kPing to every worker each heartbeat;
 // a worker that misses K consecutive beats is declared dead and its pieces
-// are re-created on the survivors by the RpcRecoveryCoordinator — whole
-// files restored from the master's StableStore, lost pieces PUT over TCP
-// stamped with a bumped epoch, the new layout published only after the
-// bytes land. The exit line reports monitor.* counters so chaos scripts
-// can assert that a kill was detected and repaired.
+// are re-created on the survivors by the same RecoveryManager sweep the
+// threaded cluster runs — whole files restored from the master's
+// StableStore, lost pieces PUT over TCP stamped with the next epoch, the
+// new layout published only after the bytes land. Each completed repair
+// prints
+//
+//   spcache_masterd repaired server <s>: pieces_recovered=<n> files_skipped=<m>
+//
+// and the exit line reports monitor.* counters, so chaos scripts can wait
+// for a repair and assert that a kill was detected and repaired.
 //
 //   spcache_masterd [--host H] [--port P] [--workers LIST]
-//                   [--heartbeat-ms B] [--max-seconds S] [--legacy-write-path]
+//                   [--heartbeat-ms B] [--max-seconds S]
 //
 //   --host H         bind address                [127.0.0.1]
 //   --port P         listen port, 0 = ephemeral  [7070]
@@ -28,8 +33,6 @@
 //                    health monitor + RPC repair.
 //   --heartbeat-ms B liveness probe interval     [100]
 //   --max-seconds S  auto-exit after S seconds, 0 = run forever  [0]
-//   --legacy-write-path  pre-batching write path (copy per send, one frame
-//                        per syscall) — the bench baseline arm
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -45,7 +48,6 @@
 #include "cluster/health_monitor.h"
 #include "obs/metrics.h"
 #include "rpc/cache_service.h"
-#include "rpc/rpc_recovery.h"
 #include "rpc/tcp_transport.h"
 
 using namespace spcache;
@@ -90,7 +92,6 @@ int main(int argc, char** argv) {
   std::uint16_t port = 7070;
   long max_seconds = 0;
   long heartbeat_ms = 100;
-  bool legacy_write_path = false;
   std::vector<std::string> worker_addrs;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -120,11 +121,9 @@ int main(int argc, char** argv) {
         if (comma == std::string::npos) break;
         start = comma + 1;
       }
-    } else if (flag == "--legacy-write-path") {
-      legacy_write_path = true;
     } else if (flag == "--help" || flag == "-h") {
       std::cout << "spcache_masterd [--host H] [--port P] [--workers LIST] [--heartbeat-ms B] "
-                   "[--max-seconds S] [--legacy-write-path]\n";
+                   "[--max-seconds S]\n";
       return 0;
     } else {
       std::cerr << "spcache_masterd: unknown flag " << flag << "\n";
@@ -135,9 +134,7 @@ int main(int argc, char** argv) {
 
   install_signal_handlers();
 
-  TcpTransportConfig config;
-  config.batch_writes = !legacy_write_path;
-  TcpTransport transport(config);
+  TcpTransport transport;
   const std::uint16_t bound = transport.listen(host, port);
   std::vector<NodeId> worker_nodes;
   for (std::size_t i = 0; i < worker_addrs.size(); ++i) {
@@ -152,21 +149,24 @@ int main(int argc, char** argv) {
   MasterService master(bus);
 
   // Liveness + repair, only with a worker address book to probe. The
-  // monitor node issues the kPing probes and the repair PUTs; the
-  // coordinator asks the HealthMonitor (via pointer, bound below) for its
-  // cached verdicts when picking replacement workers.
+  // monitor node issues the kPing probes and the repair PUTs; the repair
+  // asks the HealthMonitor (via pointer, bound below) for its cached
+  // verdicts when picking replacement workers.
   std::unique_ptr<RpcNode> monitor_node;
-  std::unique_ptr<RpcRecoveryCoordinator> coordinator;
+  std::unique_ptr<RecoveryManager> recovery;
   std::unique_ptr<HealthMonitor> health;
   HealthMonitor* health_ptr = nullptr;
   std::atomic<std::uint64_t> ping_token{1};
   if (!worker_nodes.empty()) {
     monitor_node = std::make_unique<RpcNode>(bus, kMonitorNode, "monitor");
-    coordinator = std::make_unique<RpcRecoveryCoordinator>(
-        *monitor_node, master.master(), master.stable(), worker_nodes,
-        [&health_ptr](std::uint32_t s) {
-          return health_ptr == nullptr || health_ptr->server_healthy(s);
-        });
+    recovery = std::make_unique<RecoveryManager>(
+        worker_nodes.size(),
+        rpc_repair_peers(*monitor_node, worker_nodes,
+                         [&health_ptr](std::uint32_t s) {
+                           return health_ptr == nullptr || health_ptr->server_healthy(s);
+                         }),
+        master.master(), master.stable());
+    recovery->attach_observability(&registry);
     const auto probe_timeout =
         std::chrono::milliseconds(std::max<long>(50, heartbeat_ms / 2));
     // probe: a live worker echoes the token from the thread that serves
@@ -182,8 +182,12 @@ int main(int argc, char** argv) {
       BufferReader r(reply.payload);
       return r.u64() == token;
     };
-    auto repair = [&coordinator](std::uint32_t s) {
-      return coordinator->repair_after_server_loss(s);
+    auto repair = [&recovery](std::uint32_t s) {
+      const RecoveryStats stats = recovery->repair_after_server_loss(s);
+      std::cout << "spcache_masterd repaired server " << s
+                << ": pieces_recovered=" << stats.pieces_recovered
+                << " files_skipped=" << stats.files_skipped << std::endl;
+      return stats;
     };
     HealthMonitorConfig hm;
     hm.heartbeat_interval = std::chrono::milliseconds(heartbeat_ms);

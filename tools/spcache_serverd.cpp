@@ -9,7 +9,7 @@
 // so scripts that pass --port 0 (kernel-assigned) can parse the real port.
 //
 //   spcache_serverd --node N [--host H] [--port P] [--bandwidth-gbps B]
-//                   [--max-seconds S] [--legacy-write-path]
+//                   [--max-seconds S]
 //                   [--chaos-seed S] [--chaos-partial P] [--chaos-reset P]
 //
 //   --node N            bus node id (workers are 1..N)   [1]
@@ -17,8 +17,6 @@
 //   --port P            listen port, 0 = ephemeral       [0]
 //   --bandwidth-gbps B  modelled link speed              [1.0]
 //   --max-seconds S     auto-exit after S seconds, 0 = run forever  [0]
-//   --legacy-write-path pre-batching write path (copy per send, one frame
-//                       per syscall) — the bench baseline arm
 //   --chaos-seed S      arm seeded socket chaos on this server's transport [1]
 //   --chaos-partial P   per-flush partial-write probability    [0]
 //   --chaos-reset P     per-flush connection-reset probability [0]
@@ -66,7 +64,6 @@ int main(int argc, char** argv) {
   NodeId node = kFirstWorkerNode;
   double bandwidth_gbps = 1.0;
   long max_seconds = 0;
-  bool legacy_write_path = false;
   std::uint64_t chaos_seed = 1;
   double chaos_partial = 0.0;
   double chaos_reset = 0.0;
@@ -89,8 +86,6 @@ int main(int argc, char** argv) {
       bandwidth_gbps = std::atof(value().c_str());
     } else if (flag == "--max-seconds") {
       max_seconds = std::atol(value().c_str());
-    } else if (flag == "--legacy-write-path") {
-      legacy_write_path = true;
     } else if (flag == "--chaos-seed") {
       chaos_seed = std::strtoull(value().c_str(), nullptr, 10);
     } else if (flag == "--chaos-partial") {
@@ -99,7 +94,7 @@ int main(int argc, char** argv) {
       chaos_reset = std::atof(value().c_str());
     } else if (flag == "--help" || flag == "-h") {
       std::cout << "spcache_serverd --node N [--host H] [--port P] [--bandwidth-gbps B] "
-                   "[--max-seconds S] [--legacy-write-path] [--chaos-seed S] "
+                   "[--max-seconds S] [--chaos-seed S] "
                    "[--chaos-partial P] [--chaos-reset P]\n";
       return 0;
     } else {
@@ -114,9 +109,7 @@ int main(int argc, char** argv) {
 
   install_signal_handlers();
 
-  TcpTransportConfig config;
-  config.batch_writes = !legacy_write_path;
-  TcpTransport transport(config);
+  TcpTransport transport;
   // Seeded socket chaos (armed when any probability is nonzero): the fault
   // schedule is a pure function of the seed, so a failing run replays from
   // the command line alone.
